@@ -20,7 +20,12 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional
 
 from repro.core.base import WriteAllAlgorithm, default_tasks
-from repro.core.iterative import IterativeLayout, phased_program
+from repro.core.iterative import (
+    IterativeLayout,
+    PhasedKernel,
+    phased_kernel_factory,
+    phased_program,
+)
 from repro.core.tasks import TaskSet
 from repro.pram.cycles import Cycle
 from repro.util.bits import ceil_log2, is_power_of_two, next_power_of_two
@@ -88,3 +93,8 @@ class AlgorithmV(WriteAllAlgorithm):
             return phased_program(pid, layout, tasks)
 
         return factory
+
+    def compiled_program(
+        self, layout: VLayout, tasks: Optional[TaskSet] = None
+    ) -> Optional[Callable[[int], PhasedKernel]]:
+        return phased_kernel_factory(layout, default_tasks(tasks))

@@ -17,19 +17,25 @@ Safety of the interleaving: all progress-tree operations of both
 algorithms are monotone and idempotent, and V's step-counter cohorts can
 only de-phase by whole ticks (never writing conflicting values in the
 same tick), so the COMMON write discipline holds throughout — the
-property tests hammer exactly this.
+property tests hammer exactly this.  Some restart schedules still break
+it: two seeded schedules in the differential suite drive two V cohorts
+one step apart onto V's step cell in the same tick, and the machine
+aborts with a COMMON conflict (on every lane alike).
+
+:class:`InterleavedKernel` is the compiled form of :func:`_interleave`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.algorithm_v import AlgorithmV, VLayout
 from repro.core.algorithm_x import AlgorithmX, XLayout
 from repro.core.base import BaseLayout, WriteAllAlgorithm, default_tasks
 from repro.core.iterative import phased_program
 from repro.core.tasks import TaskSet
+from repro.pram.compiled import CompiledProgram, Staged
 from repro.pram.cycles import Cycle
 
 
@@ -91,6 +97,20 @@ class AlgorithmVX(WriteAllAlgorithm):
 
         return factory
 
+    def compiled_program(
+        self, layout: VXLayout, tasks: Optional[TaskSet] = None
+    ) -> Optional[Callable[[int], "InterleavedKernel"]]:
+        tasks = default_tasks(tasks)
+        x_factory = self._x.compiled_program(layout.x_layout, tasks)
+        v_factory = self._v.compiled_program(layout.v_layout, tasks)
+        if x_factory is None or v_factory is None:
+            return None  # task cycles need the generator path
+
+        def factory(pid: int) -> InterleavedKernel:
+            return InterleavedKernel(x_factory(pid), v_factory(pid))
+
+        return factory
+
 
 def _interleave(
     generators: List[Generator[Cycle, tuple, None]],
@@ -119,3 +139,59 @@ def _interleave(
                 slot[1] = generator.send(values)  # type: ignore[union-attr]
             except StopIteration:
                 slot[1] = None
+
+
+class InterleavedKernel(CompiledProgram):
+    """Compiled form of :func:`_interleave` over two compiled programs.
+
+    Round-robins the update cycles of ``first`` and ``second`` exactly
+    like the generator: after one sub-program's cycle completes, the
+    turn passes to the other if it is still live, stays put if only the
+    current one is, and the interleaving halts when both have halted.
+    All state lives in the two sub-kernels plus whose turn it is, so
+    ``reset()`` rebuilds it from the PID alone.
+    """
+
+    __slots__ = ("first", "second", "current", "other")
+
+    def __init__(self, first: CompiledProgram, second: CompiledProgram) -> None:
+        self.first = first
+        self.second = second
+        self.current = first
+        self.other = second
+        self.live = False
+
+    def reset(self) -> bool:
+        first_live = self.first.reset()
+        second_live = self.second.reset()
+        if first_live or not second_live:
+            self.current, self.other = self.first, self.second
+        else:
+            self.current, self.other = self.second, self.first
+        self.live = first_live or second_live
+        return self.live
+
+    def _pass_turn(self) -> bool:
+        """Pick the next sub-program after the current one's cycle."""
+        other = self.other
+        if other.live:
+            self.other = self.current
+            self.current = other
+        elif not self.current.live:
+            self.live = False
+        return self.live
+
+    def current_cycle(self) -> Cycle:
+        return self.current.current_cycle()
+
+    def stage(self, cells: Sequence[int]) -> Staged:
+        return self.current.stage(cells)
+
+    def advance(self, values: Tuple[int, ...]) -> bool:
+        self.current.advance(values)
+        return self._pass_turn()
+
+    def quiet_step(self, cells: Sequence[int], out: List[int]) -> int:
+        reads = self.current.quiet_step(cells, out)
+        self._pass_turn()
+        return reads

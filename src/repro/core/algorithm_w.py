@@ -26,6 +26,7 @@ from repro.core.iterative import (
     IterativeLayout,
     PhasedKernel,
     iteration_length,
+    phased_kernel_factory,
     phased_program,
 )
 from repro.core.tasks import TaskSet
@@ -72,15 +73,7 @@ class AlgorithmW(WriteAllAlgorithm):
     def compiled_program(
         self, layout: WLayout, tasks: Optional[TaskSet] = None
     ) -> Optional[Callable[[int], PhasedKernel]]:
-        tasks = default_tasks(tasks)
-        if tasks.cycles_per_task != 0:
-            return None  # task cycles need the generator path
-        lam = iteration_length(layout, tasks)
-
-        def factory(pid: int) -> PhasedKernel:
-            return PhasedKernel(pid, layout, lam)
-
-        return factory
+        return phased_kernel_factory(layout, default_tasks(tasks))
 
     def vectorized_program(
         self, layout: WLayout, tasks: Optional[TaskSet] = None

@@ -34,12 +34,12 @@ stale entries from earlier iterations decode to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.base import BaseLayout
 from repro.core.tasks import TaskSet
 from repro.core.trees import HeapTree
-from repro.pram.compiled import CompiledProgram
+from repro.pram.compiled import CompiledProgram, Staged
 from repro.pram.cycles import Cycle, Write
 from repro.pram.errors import ProgramError
 
@@ -441,6 +441,24 @@ def _iterations(
         st += 1
 
 
+def phased_kernel_factory(
+    layout: IterativeLayout, tasks: TaskSet
+) -> Optional[Callable[[int], "PhasedKernel"]]:
+    """The :class:`PhasedKernel` factory of a W or V run, or None.
+
+    Task sets with real cycles need the generator path (the kernel
+    compiles the plain ``x[i] := 1`` work stream only).
+    """
+    if tasks.cycles_per_task != 0:
+        return None
+    lam = iteration_length(layout, tasks)
+
+    def factory(pid: int) -> PhasedKernel:
+        return PhasedKernel(pid, layout, lam)
+
+    return factory
+
+
 def decode_pair(values: Tuple[int, ...], mult: int, iteration: int) -> int:
     """Decode and sum two tagged counting-tree cells."""
     left = values[0] % mult if values[0] // mult == iteration else 0
@@ -448,11 +466,11 @@ def decode_pair(values: Tuple[int, ...], mult: int, iteration: int) -> int:
     return left + right
 
 # ===================================================================== #
-# compiled kernel (algorithm W)
+# compiled kernel (algorithms W and V)
 # ===================================================================== #
 
 # Phase codes of the compiled stepper; one per distinct cycle shape of
-# phased_program/_iterations (W configuration: counting tree present).
+# phased_program/_iterations (the two counting phases are W's only).
 _WAIT = 0
 _KICK = 1
 _COUNT_LEAF = 2
@@ -464,25 +482,43 @@ _UP_LEAF = 7
 _UP = 8
 _FINAL = 9
 
+#: Labels of the phases whose label does not depend on the state.
+_PHASE_LABELS = {
+    _WAIT: "vw:wait",
+    _KICK: "vw:kickstart",
+    _COUNT_LEAF: "w:count-leaf",
+    _COUNT_UP: "w:count-up",
+    _ALLOC_ROOT: "vw:alloc-root",
+    _FINAL: "vw:finalize",
+}
+
 
 class PhasedKernel(CompiledProgram):
-    """Compiled form of :func:`phased_program` for algorithm W.
+    """Compiled form of :func:`phased_program` for algorithms W and V.
 
     The generator's control flow (waiter/recovery loop, guarded join,
     enumerate/allocate/work/update/finalize) becomes an explicit state
     machine over the phase codes above; the per-cycle closures become
-    straight-line staging over raw cells.  Only the W configuration
-    (counting tree present) with trivial task sets is compiled — the
-    algorithm's ``compiled_program`` hook gates accordingly.
+    straight-line staging over raw cells.  Both configurations are
+    compiled, with trivial task sets only (the algorithms'
+    ``compiled_program`` hooks gate accordingly):
 
-    ``quiet_step`` stages the current cycle's writes from the live
-    state, then delegates the transition to :meth:`advance` so both
-    lanes share one source of truth for the state machine.
+    * W (counting tree present): each iteration starts with the
+      enumeration phases, which set (rank, total), and the guarded
+      join is the counting-leaf cycle;
+    * V (no counting tree): rank is the PID and total is P for good,
+      iterations start at the allocation root, and the guarded join is
+      the ``vw:alloc-root`` cycle.
+
+    :meth:`_stage_into` stages the current cycle's reads and writes
+    from the live state; ``quiet_step`` then delegates the transition
+    to :meth:`advance` and ``stage`` wraps the staged writes, so every
+    lane shares one source of truth for the state machine.
     """
 
     __slots__ = (
         "pid", "lam", "step_addr", "done_addr", "x_base",
-        "leaves", "log_l", "chunk", "d1",
+        "leaves", "log_l", "chunk", "d1", "counting", "p",
         "c1", "c_height", "p_leaves", "mult", "own_leaf",
         "phase", "st", "last_seen", "same_polls", "joining", "kick",
         "iteration_number", "rank", "total", "node", "count_below",
@@ -490,8 +526,6 @@ class PhasedKernel(CompiledProgram):
     )
 
     def __init__(self, pid: int, layout: IterativeLayout, lam: int) -> None:
-        if not layout.has_counting_tree:
-            raise ValueError("PhasedKernel compiles the W configuration only")
         self.pid = pid
         self.lam = lam
         self.step_addr = layout.step_addr
@@ -503,12 +537,18 @@ class PhasedKernel(CompiledProgram):
         self.chunk = layout.chunk
         # tree.address(node) == base + node - 1; fold the -1 once.
         self.d1 = layout.d_base - 1
-        counting = layout.counting_tree
-        self.c1 = layout.c_base - 1
-        self.c_height = counting.height
-        self.p_leaves = layout.p_leaves
-        self.mult = 2 * layout.p_leaves + 1
-        self.own_leaf = counting.leaf_node(pid)
+        self.counting = layout.has_counting_tree
+        self.p = layout.p
+        if self.counting:
+            counting = layout.counting_tree
+            self.c1 = layout.c_base - 1
+            self.c_height = counting.height
+            self.p_leaves = layout.p_leaves
+            self.mult = 2 * layout.p_leaves + 1
+            self.own_leaf = counting.leaf_node(pid)
+        else:  # V: the counting phases never run
+            self.c1 = self.c_height = self.own_leaf = 0
+            self.p_leaves = self.mult = 1
         self.live = False
         self.reset()
 
@@ -524,8 +564,12 @@ class PhasedKernel(CompiledProgram):
         self.joining = False
         self.kick = 0
         self.iteration_number = 0
-        self.rank = 0
-        self.total = 1
+        if self.counting:
+            self.rank = 0  # set by the enumeration phases
+            self.total = 1
+        else:
+            self.rank = self.pid  # V allocates by the permanent PID
+            self.total = self.p
         self.node = 0
         self.count_below = 0
         self.level = 0
@@ -632,7 +676,7 @@ class PhasedKernel(CompiledProgram):
                 self.st = st
                 self.joining = True
                 self.iteration_number = st // lam
-                self.phase = _COUNT_LEAF
+                self.phase = _COUNT_LEAF if self.counting else _ALLOC_ROOT
                 return True
             if step_seen == self.last_seen:
                 self.same_polls += 1
@@ -649,11 +693,7 @@ class PhasedKernel(CompiledProgram):
         if phase == _COUNT_LEAF:
             if self.joining:
                 if values[-1] not in (self.st - 1, self.st - 2):
-                    # RESYNC: off by a tick — back to the waiter loop.
-                    self.phase = _WAIT
-                    self.last_seen = None
-                    self.same_polls = 0
-                    self.joining = False
+                    self._resync()
                     return True
                 self.joining = False
             if values[0] != 0:
@@ -680,6 +720,11 @@ class PhasedKernel(CompiledProgram):
             self.phase = _UP if self.log_l > 0 else _FINAL
             return True
         if phase == _ALLOC_ROOT:
+            if self.joining:
+                if values[-1] not in (self.st - 1, self.st - 2):
+                    self._resync()
+                    return True
+                self.joining = False
             root_count, done = values[0], values[1]
             if done != 0:
                 self.live = False
@@ -707,7 +752,7 @@ class PhasedKernel(CompiledProgram):
                 return False
             self.st += 1
             self.iteration_number = self.st // self.lam
-            self.phase = _COUNT_LEAF
+            self.phase = _COUNT_LEAF if self.counting else _ALLOC_ROOT
             return True
         # phase == _KICK: the kick cycle has no reads; resume polling.
         self.last_seen = None
@@ -715,20 +760,32 @@ class PhasedKernel(CompiledProgram):
         self.phase = _WAIT
         return True
 
+    def _resync(self) -> None:
+        """RESYNC: the guarded join was off by a tick — wait again."""
+        self.phase = _WAIT
+        self.last_seen = None
+        self.same_polls = 0
+        self.joining = False
+
     def _finish_alloc(self) -> None:
         self.leaf = self.node if self.target is not None else None
         self.offset = 0
         self.phase = _BEAT
 
-    # -- fused quiet lane ---------------------------------------------- #
+    # -- staging (shared by the fused and observed lanes) -------------- #
 
-    def quiet_step(self, cells: Sequence[int], out: List[int]) -> int:
+    def _stage_into(self, cells: Sequence[int], out: List[int]) -> tuple:
+        """Read the current cycle's cells and stage its writes into ``out``.
+
+        Appends flat ``address, value`` pairs in cycle write order and
+        returns the read values; every read of this program is charged
+        (no ``None`` specs), so the charge is ``len(values)``.  Pure.
+        """
         phase = self.phase
         step_addr = self.step_addr
         done_addr = self.done_addr
         st = self.st
         if phase == _BEAT:
-            v0 = cells[done_addr]
             leaf = self.leaf
             if leaf is not None:
                 element = (leaf - self.leaves) * self.chunk + self.offset
@@ -736,47 +793,33 @@ class PhasedKernel(CompiledProgram):
                 out.append(1)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0,))
-            return 1
+            return (cells[done_addr],)
         if phase == _ALLOC:
-            if self.target is None:
-                v0 = cells[done_addr]
-                out.append(step_addr)
-                out.append(st)
-                self.advance((v0,))
-                return 1
-            left_addr = self.d1 + 2 * self.node
-            v0 = cells[left_addr]
-            v1 = cells[left_addr + 1]
-            v2 = cells[done_addr]
             out.append(step_addr)
             out.append(st)
-            self.advance((v0, v1, v2))
-            return 3
+            if self.target is None:
+                return (cells[done_addr],)
+            left_addr = self.d1 + 2 * self.node
+            return (cells[left_addr], cells[left_addr + 1], cells[done_addr])
         if phase == _UP:
             if self.leaf is None:
-                v0 = cells[done_addr]
                 out.append(step_addr)
                 out.append(st)
-                self.advance((v0,))
-                return 1
+                return (cells[done_addr],)
             parent = self.node // 2
             left_addr = self.d1 + 2 * parent
             v0 = cells[left_addr]
             v1 = cells[left_addr + 1]
-            v2 = cells[done_addr]
             out.append(self.d1 + parent)
             out.append(v0 + v1)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0, v1, v2))
-            return 3
+            return (v0, v1, cells[done_addr])
         if phase == _COUNT_UP:
             parent = self.node // 2
             left_addr = self.c1 + 2 * parent
             v0 = cells[left_addr]
             v1 = cells[left_addr + 1]
-            v2 = cells[done_addr]
             mult = self.mult
             iteration = self.iteration_number
             left = v0 % mult if v0 // mult == iteration else 0
@@ -785,64 +828,82 @@ class PhasedKernel(CompiledProgram):
             out.append(iteration * mult + left + right)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0, v1, v2))
-            return 3
+            return (v0, v1, cells[done_addr])
         if phase == _WAIT:
-            v0 = cells[step_addr]
-            v1 = cells[done_addr]
-            self.advance((v0, v1))
-            return 2
+            return (cells[step_addr], cells[done_addr])
         if phase == _COUNT_LEAF:
             payload_value = self.iteration_number * self.mult + 1
             if self.joining:
-                v0 = cells[done_addr]
                 v1 = cells[step_addr]
                 if v1 == st - 1 or v1 == st - 2:
                     out.append(self.c1 + self.own_leaf)
                     out.append(payload_value)
                     out.append(step_addr)
                     out.append(st)
-                self.advance((v0, v1))
-                return 2
-            v0 = cells[done_addr]
+                return (cells[done_addr], v1)
             out.append(self.c1 + self.own_leaf)
             out.append(payload_value)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0,))
-            return 1
+            return (cells[done_addr],)
         if phase == _UP_LEAF:
-            v0 = cells[done_addr]
             leaf = self.leaf
             if leaf is not None:
                 out.append(self.d1 + leaf)
                 out.append(1)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0,))
-            return 1
+            return (cells[done_addr],)
         if phase == _ALLOC_ROOT:
-            v0 = cells[self.d1 + 1]
-            v1 = cells[done_addr]
+            if self.joining:  # V's guarded join
+                v2 = cells[step_addr]
+                if v2 == st - 1 or v2 == st - 2:
+                    out.append(step_addr)
+                    out.append(st)
+                return (cells[self.d1 + 1], cells[done_addr], v2)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0, v1))
-            return 2
+            return (cells[self.d1 + 1], cells[done_addr])
         if phase == _FINAL:
             v0 = cells[self.d1 + 1]
-            v1 = cells[done_addr]
             if v0 >= self.leaves:
                 out.append(done_addr)
                 out.append(1)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0, v1))
-            return 2
+            return (v0, cells[done_addr])
         # phase == _KICK
         out.append(step_addr)
         out.append(self.kick)
-        self.advance(())
-        return 0
+        return ()
+
+    def _label(self) -> str:
+        phase = self.phase
+        if phase == _BEAT:
+            return "vw:beat-idle" if self.leaf is None else "vw:beat"
+        if phase == _ALLOC:
+            return "vw:alloc-idle" if self.target is None else "vw:alloc-descend"
+        if phase == _UP:
+            return "vw:up-idle" if self.leaf is None else "vw:up"
+        if phase == _UP_LEAF:
+            return "vw:up-idle" if self.leaf is None else "vw:up-leaf"
+        return _PHASE_LABELS[phase]
+
+    def quiet_step(self, cells: Sequence[int], out: List[int]) -> int:
+        values = self._stage_into(cells, out)
+        self.advance(values)
+        return len(values)
+
+    def stage(self, cells: Sequence[int]) -> Staged:
+        out: List[int] = []
+        values = self._stage_into(cells, out)
+        if not out:
+            writes: Tuple[Write, ...] = ()
+        elif len(out) == 2:
+            writes = (Write(out[0], out[1]),)
+        else:
+            writes = (Write(out[0], out[1]), Write(out[2], out[3]))
+        return self._label(), values, len(values), writes
 
     # -- observable lane ------------------------------------------------ #
 
@@ -928,22 +989,7 @@ class PhasedKernel(CompiledProgram):
                 step_write,
             )
             if self.joining:
-                expected = (self.st - 1, self.st - 2)
-
-                def guarded_writes(
-                    values: Tuple[int, ...],
-                    expected: Tuple[int, int] = expected,
-                    payload: Tuple[Write, ...] = payload,
-                ) -> Tuple[Write, ...]:
-                    if values[-1] in expected:
-                        return payload
-                    return ()
-
-                return Cycle(
-                    reads=(done_addr, step_addr),
-                    writes=guarded_writes,
-                    label="w:count-leaf",
-                )
+                return self._guarded((done_addr,), payload, "w:count-leaf")
             return Cycle(
                 reads=(done_addr,), writes=payload, label="w:count-leaf"
             )
@@ -960,6 +1006,10 @@ class PhasedKernel(CompiledProgram):
                 label="vw:up-leaf",
             )
         if phase == _ALLOC_ROOT:
+            if self.joining:
+                return self._guarded(
+                    (self.d1 + 1, done_addr), (step_write,), "vw:alloc-root"
+                )
             return Cycle(
                 reads=(self.d1 + 1, done_addr),
                 writes=(step_write,),
@@ -985,4 +1035,19 @@ class PhasedKernel(CompiledProgram):
         # phase == _KICK
         return Cycle(
             writes=(Write(step_addr, self.kick),), label="vw:kickstart"
+        )
+
+    def _guarded(
+        self, reads: Tuple[int, ...], payload: Tuple[Write, ...], label: str
+    ) -> Cycle:
+        """The join cycle: commit only if the step cell confirms sync."""
+        expected = (self.st - 1, self.st - 2)
+
+        def guarded_writes(values: Tuple[int, ...]) -> Tuple[Write, ...]:
+            if values[-1] in expected:
+                return payload
+            return ()
+
+        return Cycle(
+            reads=reads + (self.step_addr,), writes=guarded_writes, label=label
         )

@@ -15,7 +15,7 @@ from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.base import BaseLayout, WriteAllAlgorithm, default_tasks
 from repro.core.tasks import TaskSet
-from repro.pram.compiled import CompiledProgram
+from repro.pram.compiled import CompiledProgram, Staged
 from repro.pram.cycles import Cycle, Write
 from repro.util.bits import is_power_of_two
 
@@ -113,6 +113,9 @@ class TrivialKernel(CompiledProgram):
             writes=(Write(self.x_base + self.element, 1),),
             label="trivial:write",
         )
+
+    def stage(self, cells: Sequence[int]) -> Staged:
+        return "trivial:write", (), 0, (Write(self.x_base + self.element, 1),)
 
     def advance(self, values: Tuple[int, ...]) -> bool:
         element = self.element + self.p

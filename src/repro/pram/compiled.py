@@ -17,10 +17,16 @@ per-PID stepper object with *explicit* state that
 * can emit read addresses and staged writes directly into the machine's
   scratch buffers (:meth:`CompiledProgram.quiet_step`), with no
   generator resume and no ``Cycle``/``Write`` allocation;
-* can still materialize a bona-fide :class:`Cycle` for any tick the
-  adversary (or a tracer) needs to observe
-  (:meth:`CompiledProgram.current_cycle`), so traces, pending views, and
-  the realized failure pattern are identical to the generator path.
+* can *stage* an adversary-visible tick purely
+  (:meth:`CompiledProgram.stage`): the label, read values, read charge
+  and writes the pending cycle would produce, read straight from the
+  raw cells without building a ``Cycle`` and without advancing;
+* can still materialize a bona-fide :class:`Cycle` for any tick
+  something needs to inspect as a cycle
+  (:meth:`CompiledProgram.current_cycle`) — the validation gate, the
+  reference core, a pending view's ``cycle`` — so traces, pending
+  views, and the realized failure pattern are identical to the
+  generator path.
 
 **Soundness contract for kernel authors.**  A kernel must be
 *observationally identical* to the generator program it compiles:
@@ -30,6 +36,14 @@ per-PID stepper object with *explicit* state that
   ``None``-skip shape), and writes that materialize to the same
   ``(address, value)`` sequence the generator's cycle would produce for
   any read-value tuple;
+* ``stage(cells)`` must be *pure* and return exactly what
+  ``current_cycle()`` materializes against ``cells``: the same label,
+  the full read-value tuple (a skipped ``None`` read is a 0 slot), the
+  number of charged (non-``None``) reads, and the same writes in cycle
+  order.  Purity is what makes observed ticks safe: a stalled processor
+  is re-staged, with fresh reads, on its next tick; a failed one is
+  rebuilt by ``reset()``; in neither case may staging have moved the
+  state;
 * ``quiet_step()`` must charge exactly as many reads as the generator
   cycle performs (``None`` read specs charge nothing), append only
   in-range integer ``(address, value)`` pairs in the cycle's write
@@ -51,11 +65,15 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.pram.cycles import Cycle
+from repro.pram.cycles import Cycle, Write
 
 #: A compiled-program factory: called with the PID, returns the per-PID
 #: stepper.  The machine calls ``reset()`` before first use.
 CompiledFactory = Callable[[int], "CompiledProgram"]
+
+#: What :meth:`CompiledProgram.stage` returns for one observed tick:
+#: ``(label, read values, charged reads, writes)``.
+Staged = Tuple[str, Tuple[int, ...], int, Tuple[Write, ...]]
 
 
 class CompiledProgram:
@@ -68,10 +86,12 @@ class CompiledProgram:
 
     * the **fused quiet lane** calls :meth:`quiet_step` once per tick —
       read, compute, stage writes, advance, all in one call;
-    * the **observable lane** (adversary ticks, tracing, the reference
-      core) calls :meth:`current_cycle` to materialize the pending
-      cycle, and after the machine resolves the tick,
-      :meth:`advance` with the values that were read.
+    * the **observed lane** (adversary ticks, tracing) calls
+      :meth:`stage` to learn what the pending cycle reads and writes,
+      and after the machine resolves the tick, :meth:`advance` with
+      the values that were read.  :meth:`current_cycle` materializes
+      the pending cycle for whatever needs a real ``Cycle`` (the
+      one-time validation gate, the reference core).
 
     ``live`` is ``True`` from a successful :meth:`reset` until the
     program halts voluntarily (``advance``/``quiet_step`` observed the
@@ -100,6 +120,30 @@ class CompiledProgram:
         program would currently have pending.
         """
         raise NotImplementedError
+
+    def stage(self, cells: Sequence[int]) -> Staged:
+        """Stage the pending cycle of an observed tick, without advancing.
+
+        Returns ``(label, values, charged, writes)``: the cycle's label,
+        its read values against the raw ``cells`` (a skipped ``None``
+        read is a 0 slot), the number of reads to charge, and its writes
+        in cycle order.  Pure, like :meth:`current_cycle`.  This default
+        builds it from :meth:`current_cycle`, so kernels written before
+        the staging step keep working; shipped kernels override it to
+        skip the ``Cycle``.
+        """
+        cycle = self.current_cycle()
+        value_list: List[int] = []
+        charged = 0
+        for spec in cycle.read_specs():
+            address = spec(tuple(value_list)) if callable(spec) else spec
+            if address is None:
+                value_list.append(0)
+                continue
+            value_list.append(cells[address])
+            charged += 1
+        values = tuple(value_list)
+        return cycle.label, values, charged, cycle.materialize_writes(values)
 
     def advance(self, values: Tuple[int, ...]) -> bool:
         """Complete the pending cycle with the values that were read.

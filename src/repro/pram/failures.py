@@ -29,9 +29,17 @@ class FailureTag(Enum):
 class FailureEvent:
     """One ``<tag, PID, t>`` triple of a failure pattern."""
 
+    # Adversarial runs record tens of thousands of events; slots keep
+    # each one ~40 bytes smaller than an instance dict would.
+    __slots__ = ("tag", "pid", "time")
+
     tag: FailureTag
     pid: int
     time: int
+
+    def __reduce__(self):
+        # Frozen slots cannot be restored by pickle's setattr protocol.
+        return (FailureEvent, (self.tag, self.pid, self.time))
 
     def is_failure(self) -> bool:
         return self.tag is FailureTag.FAILURE

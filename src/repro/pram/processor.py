@@ -47,9 +47,9 @@ class Processor:
         self._program_factory = program_factory
         # Optional compiled kernel (see repro.pram.compiled).  When set,
         # the processor never builds a generator: spawn()/restart()
-        # reset the stepper from the PID, adversary-visible ticks
-        # materialize the pending Cycle on demand, and quiet windows
-        # advance the stepper directly.
+        # reset the stepper from the PID, adversary-visible ticks stage
+        # the stepper (and materialize the pending Cycle only on
+        # demand), and quiet windows advance the stepper directly.
         self._compiled_factory = compiled_factory
         self._stepper: Optional["CompiledProgram"] = None
         self.status = ProcessorStatus.FAILED  # becomes RUNNING on spawn()

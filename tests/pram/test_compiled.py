@@ -13,6 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
+    AlgorithmV,
+    AlgorithmVX,
     AlgorithmW,
     AlgorithmX,
     TrivialAssignment,
@@ -43,6 +45,22 @@ class TestProtocol:
             stepper.advance(())
         with pytest.raises(NotImplementedError):
             stepper.quiet_step([], [])
+        with pytest.raises(NotImplementedError):
+            stepper.stage([])  # the default stages from current_cycle()
+
+    def test_default_stage_builds_on_current_cycle(self):
+        # A kernel that only implements current_cycle() (as kernels
+        # written before the staging step do) still stages correctly.
+        class Reader(_CountingKernel):
+            def current_cycle(self):
+                return Cycle(
+                    reads=(1, lambda got: None, lambda got: got[0]),
+                    writes=lambda values: (Write(0, sum(values)),),
+                    label="reader",
+                )
+
+        staged = Reader([True]).stage([0, 2, 5])
+        assert staged == ("reader", (2, 0, 5), 2, (Write(0, 7),))
 
     def test_trivial_kernel_matches_generator_stream(self):
         # Drive the kernel and the generator side by side through one
@@ -70,16 +88,18 @@ class TestProtocol:
 
 class TestTrustGuard:
     def test_shipped_algorithms_are_trusted(self):
-        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX()):
+        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX(),
+                          AlgorithmV(), AlgorithmVX()):
             assert trusted_compiled_program(algorithm) is not None
 
     def test_algorithm_without_own_kernel_is_not_trusted(self):
-        # V defines program() but no kernel; honoring the base class's
-        # default through its MRO would be meaningless (it returns
-        # None) — the guard must stop at the program-defining class.
-        from repro.core import AlgorithmV
+        # The snapshot algorithm defines program() but no kernel;
+        # honoring the base class's default through its MRO would be
+        # meaningless (it returns None) — the guard must stop at the
+        # program-defining class.
+        from repro.core import SnapshotAlgorithm
 
-        assert trusted_compiled_program(AlgorithmV()) is None
+        assert trusted_compiled_program(SnapshotAlgorithm()) is None
 
     def test_subclass_overriding_program_is_distrusted(self):
         class Patched(TrivialAssignment):
@@ -117,9 +137,125 @@ class TestTrustGuard:
         tasks = CycleFactoryTasks(1, lambda element, pid: [
             Cycle(writes=(Write(element, 1),), label="task")
         ])
-        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX()):
+        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX(),
+                          AlgorithmV(), AlgorithmVX()):
             layout = algorithm.build_layout(16, 4)
+            assert resolve_kernel(algorithm, layout, None) is not None
             assert resolve_kernel(algorithm, layout, tasks) is None
+
+
+class _StagingSpy(CompiledProgram):
+    """Wraps a shipped kernel; checks every staged tick, counts cycles.
+
+    ``stage`` compares the kernel's pure staging with what its own
+    ``current_cycle()`` materializes against the same cells (called on
+    the wrapped kernel directly, so it is not counted); the counter
+    tallies only the ``current_cycle()`` calls the machine makes.
+    """
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.log = log
+
+    @property
+    def live(self):
+        return self.inner.live
+
+    def reset(self):
+        return self.inner.reset()
+
+    def advance(self, values):
+        return self.inner.advance(values)
+
+    def quiet_step(self, cells, out):
+        return self.inner.quiet_step(cells, out)
+
+    def current_cycle(self):
+        cycle = self.inner.current_cycle()
+        self.log["materialized"][cycle.label] = \
+            self.log["materialized"].get(cycle.label, 0) + 1
+        return cycle
+
+    def stage(self, cells):
+        staged = self.inner.stage(cells)
+        cycle = self.inner.current_cycle()
+        values, charged = [], 0
+        for spec in cycle.read_specs():
+            address = spec(tuple(values)) if callable(spec) else spec
+            if address is None:
+                values.append(0)
+            else:
+                values.append(cells[address])
+                charged += 1
+        values = tuple(values)
+        expected = (cycle.label, values, charged,
+                    cycle.materialize_writes(values))
+        assert staged == expected
+        self.log["staged"] += 1
+        return staged
+
+
+class TestObservedStaging:
+    """Observed ticks run the kernels' pure staging, not Cycle objects."""
+
+    @pytest.mark.parametrize("algorithm_cls", [
+        TrivialAssignment, AlgorithmW, AlgorithmX, AlgorithmV, AlgorithmVX,
+    ])
+    def test_staging_matches_materialized_cycles(self, algorithm_cls):
+        from repro.core.base import done_predicate
+        from repro.pram.machine import Machine
+        from repro.pram.memory import SharedMemory
+
+        algorithm = algorithm_cls()
+        layout = algorithm.build_layout(64, 16)
+        memory = SharedMemory(layout.size)
+        machine = Machine(16, memory,
+                          adversary=RandomAdversary(0.15, 0.3, seed=7),
+                          context={"layout": layout})
+        factory = resolve_kernel(algorithm, layout, None)
+        log = {"staged": 0, "materialized": {}}
+        machine.load_program(
+            algorithm.program(layout, None),
+            compiled_program=lambda pid: _StagingSpy(factory(pid), log),
+        )
+        ledger = machine.run(until=done_predicate(layout), max_ticks=5_000)
+        assert ledger.goal_reached
+        # Every tick is adversary-visible, so every attempt was staged.
+        assert log["staged"] == ledger.charged_work
+        # The validation gate: one materialized cycle per distinct label.
+        assert log["materialized"]
+        assert max(log["materialized"].values()) == 1
+
+    def test_pending_view_materializes_its_cycle_lazily(self):
+        from repro.faults.base import Adversary
+        from repro.pram.failures import Decision
+        from repro.pram.machine import Machine
+        from repro.pram.memory import SharedMemory
+
+        seen = []
+
+        class Inspector(Adversary):
+            def decide(self, view):
+                seen.append(view.pending[0])
+                if view.time == 3:
+                    cycle = view.pending[0].cycle
+                    assert cycle.label == view.pending[0].label
+                    assert cycle.materialize_writes(()) == \
+                        view.pending[0].writes
+                return Decision.none()
+
+        algorithm = TrivialAssignment()
+        layout = algorithm.build_layout(16, 2)
+        machine = Machine(2, SharedMemory(layout.size), adversary=Inspector())
+        machine.load_program(
+            algorithm.program(layout, None),
+            compiled_program=algorithm.compiled_program(layout),
+        )
+        for _ in range(4):
+            machine.step()
+        assert seen[1]._cycle is None  # staged, never read as a Cycle
+        with pytest.raises(ProgramError, match="stale pending view"):
+            seen[1].cycle
 
 
 class _CountingKernel(CompiledProgram):
