@@ -103,8 +103,6 @@ class AlgorithmVX(WriteAllAlgorithm):
         tasks = default_tasks(tasks)
         x_factory = self._x.compiled_program(layout.x_layout, tasks)
         v_factory = self._v.compiled_program(layout.v_layout, tasks)
-        if x_factory is None or v_factory is None:
-            return None  # task cycles need the generator path
 
         def factory(pid: int) -> InterleavedKernel:
             return InterleavedKernel(x_factory(pid), v_factory(pid))

@@ -80,7 +80,7 @@ class AlgorithmW(WriteAllAlgorithm):
     ) -> Optional[object]:
         tasks = default_tasks(tasks)
         if tasks.cycles_per_task != 0:
-            return None  # task cycles need the generator path
+            return None  # task cycles run on PhasedTaskKernel
         from repro.core.vector_kernels import WVector
 
         return WVector(layout, iteration_length(layout, tasks))

@@ -42,8 +42,13 @@ from typing import Callable, Generator, List, Optional, Sequence, Tuple
 from repro.core.base import BaseLayout, WriteAllAlgorithm, default_tasks
 from repro.core.tasks import TaskSet
 from repro.core.trees import HeapTree
-from repro.pram.compiled import CompiledProgram, Staged
-from repro.pram.cycles import Cycle, Write
+from repro.pram.compiled import (
+    CompiledProgram,
+    CycleFallback,
+    Staged,
+    stage_cycle,
+)
+from repro.pram.cycles import Cycle, Write, expect_cycle
 from repro.util.bits import bit_length_of_power, is_power_of_two, msb_first_bit
 from repro.util.rng import derive_seed
 
@@ -129,13 +134,14 @@ class AlgorithmX(WriteAllAlgorithm):
         self, layout: XLayout, tasks: Optional[TaskSet] = None
     ) -> Optional[Callable[[int], "XKernel"]]:
         tasks = default_tasks(tasks)
-        if tasks.cycles_per_task != 0:
-            return None  # the task/mark sub-loop needs the generator path
         routing = self.routing
         spread = self.spread
-
-        def factory(pid: int) -> XKernel:
-            return XKernel(pid, layout, routing, spread)
+        if tasks.cycles_per_task == 0:
+            def factory(pid: int) -> XKernel:
+                return XKernel(pid, layout, routing, spread)
+        else:
+            def factory(pid: int) -> XKernel:
+                return XTaskKernel(pid, layout, routing, spread, tasks)
 
         return factory
 
@@ -144,7 +150,7 @@ class AlgorithmX(WriteAllAlgorithm):
     ) -> Optional[object]:
         tasks = default_tasks(tasks)
         if tasks.cycles_per_task != 0:
-            return None  # the task/mark sub-loop needs the generator path
+            return None  # the task/mark sub-loop runs on XTaskKernel
         if self.routing == "random":
             # The stateless (pid, node) hash coin is evaluated per
             # descent; there is no array form of derive_seed.
@@ -284,7 +290,8 @@ def _x_program(
             )
 
 class XKernel(CompiledProgram):
-    """Compiled form of X's single-cycle loop (trivial task sets only).
+    """Compiled form of X's single-cycle loop (:class:`XTaskKernel` adds
+    the task sub-loop of non-trivial task sets).
 
     X keeps all of its recovery state in shared memory (the position
     array ``w``), so the kernel itself is stateless between cycles:
@@ -301,7 +308,7 @@ class XKernel(CompiledProgram):
     __slots__ = (
         "pid", "layout", "routing", "spread", "n", "x_base", "d1",
         "w_address", "exit_marker", "log_n", "route_pid", "route_code",
-        "initial_leaf", "_cycle",
+        "initial_leaf", "tasks", "_cycle",
     )
 
     _ROUTE_CODES = {"pid": 0, "left": 1, "right": 2, "random": 3}
@@ -324,6 +331,8 @@ class XKernel(CompiledProgram):
         self.route_pid = pid % n
         self.route_code = self._ROUTE_CODES[routing]
         self.initial_leaf = _x_initial_leaf(pid, layout, spread)
+        #: The task set of a task-carrying kernel; None for plain X.
+        self.tasks: Optional[TaskSet] = None
         self._cycle: Optional[Cycle] = None
         self.live = False
 
@@ -337,7 +346,8 @@ class XKernel(CompiledProgram):
         cycle = self._cycle
         if cycle is None:
             body_reads, body_writes = _x_cycle_body(
-                self.pid, self.layout, self.routing, self.spread, True
+                self.pid, self.layout, self.routing, self.spread,
+                self.tasks is None,
             )
             cycle = Cycle(reads=body_reads, writes=body_writes, label="x:step")
             self._cycle = cycle
@@ -393,8 +403,12 @@ class XKernel(CompiledProgram):
             out.append(parent if parent >= 1 else exit_marker)
         elif where >= n:  # at a leaf
             if third == 0:  # leaf not yet visited
-                out.append(self.x_base + (where - n))
-                out.append(1)
+                if self.tasks is None:
+                    out.append(self.x_base + (where - n))
+                    out.append(1)
+                else:  # the task cycles do the work; rewrite the position
+                    out.append(w_address)
+                    out.append(where)
             else:
                 out.append(d1 + where)  # indicate "done"
                 out.append(1)
@@ -434,3 +448,112 @@ class XKernel(CompiledProgram):
         if code == 2:
             return 1
         return derive_seed(self.pid, where) & 1
+
+
+class XTaskKernel(XKernel):
+    """:class:`XKernel` plus the task sub-loop of non-trivial task sets.
+
+    At an unvisited leaf the ``x:step`` cycle rewrites ``w[pid]``; on
+    its completion the kernel fetches the element's task cycles, as
+    :func:`_x_program` does, then hands them out one per tick, followed
+    by one ``x:mark`` cycle.  The sub-loop state (element, cycle list,
+    index) is private memory: ``reset()`` drops it, so a restarted
+    processor resumes from ``w[pid]`` and re-runs the idempotent task.
+    Task cycles are staged with :func:`~repro.pram.compiled.stage_cycle`
+    on observed ticks and declined (:class:`CycleFallback`) on the
+    fused lane; the ``x:mark`` cycle is compiled.
+    """
+
+    __slots__ = ("element", "task_cycles", "task_index")
+
+    def __init__(
+        self,
+        pid: int,
+        layout: XLayout,
+        routing: str,
+        spread: bool,
+        tasks: TaskSet,
+    ) -> None:
+        super().__init__(pid, layout, routing, spread)
+        self.tasks = tasks
+        self.element = 0
+        self.task_cycles: Optional[List[Cycle]] = None
+        self.task_index = 0
+
+    def reset(self) -> bool:
+        self.task_cycles = None  # lost with the rest of private memory
+        return XKernel.reset(self)
+
+    def current_cycle(self) -> Cycle:
+        cycles = self.task_cycles
+        if cycles is None:
+            return XKernel.current_cycle(self)
+        if self.task_index < len(cycles):
+            return cycles[self.task_index]
+        return Cycle(
+            writes=(Write(self.x_base + self.element, 1),), label="x:mark"
+        )
+
+    def stage(self, cells: Sequence[int]) -> Staged:
+        cycles = self.task_cycles
+        if cycles is None:
+            # XKernel.stage, over the bare cycle body (this class's
+            # quiet_step wraps the sub-loop around it).
+            out: List[int] = []
+            values: List[int] = []
+            live = self.live
+            reads = XKernel.quiet_step(self, cells, out, values)
+            self.live = live
+            return "x:step", tuple(values), reads, (Write(out[0], out[1]),)
+        if self.task_index < len(cycles):
+            return stage_cycle(cycles[self.task_index], cells)
+        return "x:mark", (), 0, (Write(self.x_base + self.element, 1),)
+
+    def advance(self, values: Tuple[int, ...]) -> bool:
+        cycles = self.task_cycles
+        if cycles is not None:
+            self._next_task(cycles, self.task_index + 1)
+            return True
+        where = values[0]
+        if where == self.exit_marker:
+            self.live = False
+            return False
+        if where >= self.n and values[1] == 0 and values[2] == 0:
+            self._enter_tasks(where)
+        return True
+
+    def _enter_tasks(self, where: int) -> None:
+        """At an unvisited leaf: fetch its task cycles (see _x_program)."""
+        element = where - self.n
+        self.element = element
+        self._next_task(self.tasks.task_cycles(element, self.pid), 0)
+
+    def _next_task(self, cycles: List[Cycle], index: int) -> None:
+        """Move to sub-loop slot ``index``: a task cycle, the mark
+        (``index == len(cycles)``), or past it, back to the tree walk."""
+        if index > len(cycles):
+            self.task_cycles = None
+            return
+        if index < len(cycles):
+            expect_cycle(self.pid, cycles[index])
+        self.task_cycles = cycles
+        self.task_index = index
+
+    def quiet_step(  # type: ignore[override]
+        self, cells: Sequence[int], out: List[int]
+    ) -> int:
+        cycles = self.task_cycles
+        if cycles is None:
+            values: List[int] = []
+            reads = XKernel.quiet_step(self, cells, out, values)
+            where = values[0]
+            if where >= self.n and self.live and values[1] == 0 \
+                    and values[2] == 0:
+                self._enter_tasks(where)
+            return reads
+        if self.task_index < len(cycles):
+            raise CycleFallback  # user code takes the machine's checked route
+        out.append(self.x_base + self.element)
+        out.append(1)
+        self.task_cycles = None
+        return 0

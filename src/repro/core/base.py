@@ -72,7 +72,7 @@ class WriteAllAlgorithm:
         Returns a ``pid -> CompiledProgram`` factory (see
         :mod:`repro.pram.compiled`) that is observationally identical
         to :meth:`program`, or ``None`` when no kernel applies (the
-        default — e.g. non-trivial task sets).  Like the adversary's
+        default).  Like the adversary's
         ``passive``/``quiet_until`` promises, the hook is only honored
         when it is declared by the class that defines the effective
         ``program()`` (``repro.pram.compiled.trusted_compiled_program``

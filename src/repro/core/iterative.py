@@ -39,7 +39,12 @@ from typing import Callable, Generator, List, Optional, Sequence, Tuple
 from repro.core.base import BaseLayout
 from repro.core.tasks import TaskSet
 from repro.core.trees import HeapTree
-from repro.pram.compiled import CompiledProgram, Staged
+from repro.pram.compiled import (
+    CompiledProgram,
+    CycleFallback,
+    Staged,
+    stage_cycle,
+)
 from repro.pram.cycles import Cycle, Write
 from repro.pram.errors import ProgramError
 
@@ -443,18 +448,19 @@ def _iterations(
 
 def phased_kernel_factory(
     layout: IterativeLayout, tasks: TaskSet
-) -> Optional[Callable[[int], "PhasedKernel"]]:
-    """The :class:`PhasedKernel` factory of a W or V run, or None.
+) -> Callable[[int], "PhasedKernel"]:
+    """The compiled-kernel factory of a W or V run.
 
-    Task sets with real cycles need the generator path (the kernel
-    compiles the plain ``x[i] := 1`` work stream only).
+    A :class:`PhasedKernel` for the plain ``x[i] := 1`` work stream, a
+    :class:`PhasedTaskKernel` when the task set has real cycles.
     """
-    if tasks.cycles_per_task != 0:
-        return None
     lam = iteration_length(layout, tasks)
-
-    def factory(pid: int) -> PhasedKernel:
-        return PhasedKernel(pid, layout, lam)
+    if tasks.cycles_per_task == 0:
+        def factory(pid: int) -> PhasedKernel:
+            return PhasedKernel(pid, layout, lam)
+    else:
+        def factory(pid: int) -> PhasedKernel:
+            return PhasedTaskKernel(pid, layout, lam, tasks)
 
     return factory
 
@@ -481,6 +487,7 @@ _BEAT = 6
 _UP_LEAF = 7
 _UP = 8
 _FINAL = 9
+_TASK = 10  # PhasedTaskKernel only
 
 #: Labels of the phases whose label does not depend on the state.
 _PHASE_LABELS = {
@@ -500,8 +507,8 @@ class PhasedKernel(CompiledProgram):
     enumerate/allocate/work/update/finalize) becomes an explicit state
     machine over the phase codes above; the per-cycle closures become
     straight-line staging over raw cells.  Both configurations are
-    compiled, with trivial task sets only (the algorithms'
-    ``compiled_program`` hooks gate accordingly):
+    compiled (:class:`PhasedTaskKernel` adds the task phase of
+    non-trivial task sets):
 
     * W (counting tree present): each iteration starts with the
       enumeration phases, which set (rank, total), and the guarded
@@ -1050,4 +1057,102 @@ class PhasedKernel(CompiledProgram):
 
         return Cycle(
             reads=reads + (self.step_addr,), writes=guarded_writes, label=label
+        )
+
+
+class PhasedTaskKernel(PhasedKernel):
+    """:class:`PhasedKernel` plus the task phase of non-trivial task sets.
+
+    Every work offset starts with ``cycles_per_task`` task cycles before
+    its beat, as in :func:`_iterations`: when the state machine reaches
+    a new offset, the kernel fetches the element's task cycles and, for
+    each slot, the step-wrapped cycle the generator would yield
+    (:func:`_wrap_with_step`, built at the same point, with the same
+    ``ProgramError`` for a task that writes two cells).  A processor
+    without a leaf polls ``vw:work-idle`` instead.  The task state is
+    private memory, dropped by ``reset()``.  Task cycles are staged
+    with :func:`~repro.pram.compiled.stage_cycle` on observed ticks and
+    declined (:class:`CycleFallback`) on the fused lane.
+    """
+
+    __slots__ = ("tasks", "k", "task_cycles", "task_index", "task_cycle")
+
+    def __init__(
+        self, pid: int, layout: IterativeLayout, lam: int, tasks: TaskSet
+    ) -> None:
+        self.tasks = tasks
+        self.k = tasks.cycles_per_task
+        super().__init__(pid, layout, lam)
+
+    def reset(self) -> bool:
+        self.task_cycles = None
+        self.task_cycle = None
+        self.task_index = 0
+        return PhasedKernel.reset(self)
+
+    def advance(self, values: tuple) -> bool:
+        if self.phase == _TASK:
+            if self.task_cycle is None and values[0] != 0:
+                self.live = False  # vw:work-idle saw the done flag
+                return False
+            self.st += 1
+            self._next_task(self.task_index + 1)
+            return True
+        if not PhasedKernel.advance(self, values):
+            return False
+        if self.phase == _BEAT:
+            # A new work offset: its task cycles run before its beat.
+            leaf = self.leaf
+            if leaf is None:
+                self.task_cycles = None
+            else:
+                element = (leaf - self.leaves) * self.chunk + self.offset
+                self.task_cycles = self.tasks.task_cycles(element, self.pid)
+            self.phase = _TASK
+            self._next_task(0)
+        return True
+
+    def _next_task(self, index: int) -> None:
+        """Move to task slot ``index``, or to the beat after the last."""
+        if index >= self.k:
+            self.phase = _BEAT
+            self.task_cycles = self.task_cycle = None
+            return
+        self.task_index = index
+        cycles = self.task_cycles
+        self.task_cycle = None if cycles is None else _wrap_with_step(
+            cycles[index], Write(self.step_addr, self.st)
+        )
+
+    def stage(self, cells: Sequence[int]) -> Staged:
+        if self.phase != _TASK:
+            return PhasedKernel.stage(self, cells)
+        cycle = self.task_cycle
+        if cycle is not None:
+            return stage_cycle(cycle, cells)
+        return (
+            "vw:work-idle", (cells[self.done_addr],), 1,
+            (Write(self.step_addr, self.st),),
+        )
+
+    def quiet_step(self, cells: Sequence[int], out: List[int]) -> int:
+        if self.phase != _TASK:
+            return PhasedKernel.quiet_step(self, cells, out)
+        if self.task_cycle is not None:
+            raise CycleFallback  # user code takes the machine's checked route
+        out.append(self.step_addr)
+        out.append(self.st)
+        self.advance((cells[self.done_addr],))
+        return 1
+
+    def current_cycle(self) -> Cycle:
+        if self.phase != _TASK:
+            return PhasedKernel.current_cycle(self)
+        cycle = self.task_cycle
+        if cycle is not None:
+            return cycle
+        return Cycle(
+            reads=(self.done_addr,),
+            writes=(Write(self.step_addr, self.st),),
+            label="vw:work-idle",
         )

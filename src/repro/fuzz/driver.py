@@ -7,10 +7,7 @@ through :class:`~repro.simulation.executor.RobustSimulator` on every
 machine lane of the registry in :mod:`repro.pram.lanes` (``fast``,
 ``noff``, ``nokernel``, ``vec``, ``auto``, ``reference`` — the ``vec``
 lane is skipped with a note when the optional numpy extra is absent,
-``auto`` degrades to the scalar compiled lane instead, and their
-robust phases exercise the vector lane's scalar-fallback path, since
-the phase task sets are never vectorizable),
-
+``auto`` degrades to the scalar compiled lane instead),
 under the same three-pass bit-identical convergence contract as
 ``repro chaos``: every (iteration, lane) memory must equal the oracle
 *and* reproduce bit-identically across all passes.  A
@@ -19,6 +16,12 @@ inline crashes, stalls and transient errors around executions (the
 driver retries, and the retried run must still converge) — the
 harness-level faults of PR 5 layered on top of the model-level
 adversaries.
+
+The robust phases' task cycles run on the task-carrying compiled
+kernels on ``fast``, ``noff``, ``vec`` and ``auto`` (no vector program
+takes task sets, so ``vec`` and ``auto`` run the scalar kernels) and
+on generators on ``nokernel`` and ``reference``, so a kernel bug
+diverges from the oracle on the kernel lanes only.
 
 On mismatch the driver delta-debugs the program to a minimal
 reproduction (:mod:`repro.fuzz.shrinker`) and emits a replayable JSON

@@ -55,6 +55,25 @@ per-PID stepper object with *explicit* state that
 * ``reset()`` must restore the exact initial state (a restarted
   processor must be indistinguishable from a freshly spawned one).
 
+**Task cycles.**  With a non-trivial task set (Section 4.3's simulated
+PRAM steps) a kernel also hands out the task set's own cycles, which
+are user code.  They keep every check the generator path gives them:
+
+* the kernel fetches them with ``TaskSet.task_cycles(element, pid)``
+  where the generator does (inside ``advance``), so a factory error
+  surfaces on the same tick, and ``reset()`` drops them, as a failure
+  drops the generator's locals;
+* ``stage`` reads them with :func:`stage_cycle`, which reads only
+  in-range ``int`` addresses raw and materializes writes through
+  :meth:`~repro.pram.cycles.Cycle.materialize_writes`;
+* for anything it cannot serve raw (a read address that is not an
+  in-range ``int``, a non-tuple read spec), and for every user task
+  cycle on the fused quiet lane, the kernel raises
+  :class:`CycleFallback` before changing any state.  The machine then
+  collects that processor's ``current_cycle()`` through its validated
+  reader, which raises the generator path's error on the same tick,
+  and completes it with ``advance``.
+
 The differential suite runs every algorithm × adversary combination
 with kernels on, off, and against the reference core and asserts
 ledger, trace, and memory equality — that suite is the contract's
@@ -74,6 +93,54 @@ CompiledFactory = Callable[[int], "CompiledProgram"]
 #: What :meth:`CompiledProgram.stage` returns for one observed tick:
 #: ``(label, read values, charged reads, writes)``.
 Staged = Tuple[str, Tuple[int, ...], int, Tuple[Write, ...]]
+
+
+class CycleFallback(Exception):
+    """Raised by ``stage``/``quiet_step`` to decline the pending cycle.
+
+    The stepper's state is untouched; the machine collects the pending
+    cycle (``current_cycle()``) through its validated route instead and
+    completes it with ``advance``.  Kernels raise it for user task
+    cycles they cannot (or, on the fused lane, do not) read raw.
+    """
+
+
+def stage_cycle(cycle: Cycle, cells: Sequence[int]) -> Staged:
+    """Stage a materialized ``cycle`` against the raw ``cells``, purely.
+
+    Returns ``(label, values, charged, writes)`` like
+    :meth:`CompiledProgram.stage`.  Only in-range ``int`` addresses are
+    read raw; any other read (an out-of-range or non-``int`` address, a
+    snapshot or malformed read spec) raises :class:`CycleFallback`, so
+    the machine's validated reader decides it exactly as on the
+    generator path.
+    """
+    reads = cycle.reads
+    if reads.__class__ is not tuple:
+        raise CycleFallback
+    size = len(cells)
+    value_list: List[int] = []
+    charged = 0
+    for spec in reads:
+        if spec.__class__ is int:
+            address = spec
+        elif spec is None:
+            value_list.append(0)
+            continue
+        elif callable(spec):
+            address = spec(tuple(value_list))
+            if address is None:
+                value_list.append(0)
+                continue
+        else:
+            raise CycleFallback
+        if address.__class__ is int and 0 <= address < size:
+            value_list.append(cells[address])
+            charged += 1
+        else:
+            raise CycleFallback
+    values = tuple(value_list)
+    return cycle.label, values, charged, cycle.materialize_writes(values)
 
 
 class CompiledProgram:
@@ -128,22 +195,12 @@ class CompiledProgram:
         its read values against the raw ``cells`` (a skipped ``None``
         read is a 0 slot), the number of reads to charge, and its writes
         in cycle order.  Pure, like :meth:`current_cycle`.  This default
-        builds it from :meth:`current_cycle`, so kernels written before
-        the staging step keep working; shipped kernels override it to
-        skip the ``Cycle``.
+        stages :meth:`current_cycle` with :func:`stage_cycle`, so
+        kernels written before the staging step keep working; shipped
+        kernels override it to skip the ``Cycle``.  May raise
+        :class:`CycleFallback` (see the module docstring).
         """
-        cycle = self.current_cycle()
-        value_list: List[int] = []
-        charged = 0
-        for spec in cycle.read_specs():
-            address = spec(tuple(value_list)) if callable(spec) else spec
-            if address is None:
-                value_list.append(0)
-                continue
-            value_list.append(cells[address])
-            charged += 1
-        values = tuple(value_list)
-        return cycle.label, values, charged, cycle.materialize_writes(values)
+        return stage_cycle(self.current_cycle(), cells)
 
     def advance(self, values: Tuple[int, ...]) -> bool:
         """Complete the pending cycle with the values that were read.
@@ -161,7 +218,8 @@ class CompiledProgram:
         staged writes are appended to ``out`` as flat
         ``address, value`` pairs in cycle write order.  Returns the
         number of reads to charge.  Must update ``live`` exactly as
-        :meth:`advance` would.
+        :meth:`advance` would.  May raise :class:`CycleFallback`, before
+        touching ``out`` or the state, to hand the cycle to the machine.
         """
         raise NotImplementedError
 
@@ -201,7 +259,10 @@ def resolve_kernel(
     Combines the opt-out switch (``compiled=False`` — the
     ``--no-compiled`` escape hatch), the MRO trust guard, and the
     algorithm's own gating (``compiled_program`` returns None for
-    configurations it has no kernel for, e.g. non-trivial task sets).
+    configurations it has no kernel for).  W, X, V and V+X compile
+    non-trivial task sets too, carrying the task cycles under the
+    module's soundness contract; the trivial algorithm, ACC and the
+    snapshot algorithm still gate them to the generator path.
     """
     if not compiled:
         return None

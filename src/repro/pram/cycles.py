@@ -98,6 +98,20 @@ class Cycle:
         return writes
 
 
+def expect_cycle(pid: int, value: object) -> Cycle:
+    """``value`` if it is a :class:`Cycle`, else the protocol's ProgramError.
+
+    The check a processor applies to everything its program yields; a
+    compiled kernel that hands out user-supplied task cycles applies it
+    at the same point.
+    """
+    if not isinstance(value, Cycle):
+        raise ProgramError(
+            f"pid {pid}: program yielded {value!r}, expected a Cycle"
+        )
+    return value
+
+
 def read_cycle(*addresses: int, label: str = "") -> Cycle:
     """A cycle that only reads (no writes) — e.g. polling a flag."""
     return Cycle(reads=tuple(addresses), label=label)

@@ -72,6 +72,7 @@ from time import perf_counter
 from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+from repro.pram.compiled import CycleFallback
 from repro.pram.cycles import Cycle, Write
 from repro.pram.errors import (
     AdversaryError,
@@ -841,7 +842,8 @@ class Machine:
         stalled re-stages with fresh reads next tick and a failed one is
         rebuilt by ``reset()``.  The first occurrence of each label
         still materializes its cycle through the fully validated route
-        (the one-time validation gate).
+        (the one-time validation gate), and so does a cycle whose
+        stepper declines to stage it (:class:`CycleFallback`).
         """
         cells = self._cells
         max_reads = self.max_reads
@@ -851,7 +853,17 @@ class Machine:
         collected.clear()
         reads_charged = 0
         for processor in running:
-            label, values, charged, writes = processor._stepper.stage(cells)
+            try:
+                label, values, charged, writes = processor._stepper.stage(cells)
+            except CycleFallback:
+                # A task cycle the kernel cannot read raw: the validated
+                # route reads it (or raises the generator path's error).
+                entry = self._collect_one_validated(
+                    processor, processor.materialize_pending(), None
+                )
+                validated.add(entry[4])
+                collected.append(entry)
+                continue
             if label not in validated:
                 collected.append(self._collect_one_validated(
                     processor, processor.materialize_pending(), None
@@ -1378,7 +1390,10 @@ class Machine:
         reads_charged = 0
         for processor in running:
             stepper = processor._stepper
-            reads_charged += stepper.quiet_step(cells, raw)
+            try:
+                reads_charged += stepper.quiet_step(cells, raw)
+            except CycleFallback:
+                self._quiet_step_validated(processor, raw)
             processor.cycles_completed += 1
             procs.append(processor)
             ends.append(len(raw))
@@ -1404,6 +1419,26 @@ class Machine:
             memory.commit_resolved(staged.items())
         else:
             self._resolve_and_apply_raw(procs, ends, raw)
+
+    def _quiet_step_validated(
+        self, processor: Processor, raw: List[int]
+    ) -> None:
+        """Run a cycle the kernel declined on the fused lane (a task cycle).
+
+        The pending cycle takes the validated route (every read and
+        write checked, reads charged as they are served), its writes
+        join ``raw`` in cycle order, and the stepper advances with the
+        values read.
+        """
+        entry = self._collect_one_validated(
+            processor, processor.materialize_pending(), None
+        )
+        self._validated_labels.add(entry[4])
+        for write in entry[3]:
+            raw.append(write.address)
+            raw.append(write.value)
+        processor._pending = None
+        processor._stepper.advance(entry[2])
 
     def _run_quiet_window(
         self, stop_tick: int, until: Optional[UntilPredicate]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-from repro.pram.cycles import Cycle
+from repro.pram.cycles import Cycle, expect_cycle
 from repro.pram.errors import ProgramError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -202,10 +202,7 @@ class Processor:
         self._pending = next_cycle
 
     def _check_cycle(self, cycle: object) -> None:
-        if not isinstance(cycle, Cycle):
-            raise ProgramError(
-                f"pid {self.pid}: program yielded {cycle!r}, expected a Cycle"
-            )
+        expect_cycle(self.pid, cycle)
 
     # ------------------------------------------------------------------ #
     # introspection

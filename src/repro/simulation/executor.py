@@ -152,10 +152,12 @@ class RobustSimulator:
         # ``compiled`` / ``vectorized`` are the --no-fast-forward /
         # --no-compiled / --vectorized switches (``vectorized="auto"``
         # is --lane auto adaptive dispatch).  The fuzz driver runs
-        # every program through all available lanes.  Note the robust
-        # phases always use non-trivial task sets (CycleFactoryTasks),
-        # which every vectorized_program hook gates to None — so the
-        # vec lane here exercises exactly the scalar-fallback path.
+        # every program through all available lanes.  The robust
+        # phases always use non-trivial task sets (CycleFactoryTasks):
+        # X, V, W and V+X carry their task cycles on compiled kernels,
+        # so the kernel lanes run every phase on kernels, while every
+        # vectorized_program hook gates them to None — the vec and
+        # auto lanes run those scalar kernels here.
         self.fast_path = fast_path
         self.fast_forward = fast_forward
         self.compiled = compiled

@@ -127,6 +127,27 @@ def _plant_commit_bug(monkeypatch):
     monkeypatch.setattr(executor_module, "_commit_task_factory", buggy)
 
 
+def _plant_kernel_bug(monkeypatch):
+    """The task-carrying kernels drop the staged write of commit tasks.
+
+    A kernel-only bug: the generator lanes never call these methods, so
+    only the kernel lanes compute the wrong memory.
+    """
+    from repro.core.algorithm_x import XTaskKernel
+    from repro.core.iterative import PhasedTaskKernel
+
+    for kernel in (XTaskKernel, PhasedTaskKernel):
+        original = kernel.stage
+
+        def stage(self, cells, original=original):
+            label, values, charged, writes = original(self, cells)
+            if label == "sim:commit":
+                writes = writes[1:]  # the task's own write comes first
+            return label, values, charged, writes
+
+        monkeypatch.setattr(kernel, "stage", stage)
+
+
 class TestMutationCatch:
     """The acceptance gate: a planted executor bug must be caught,
     shrunk to a tiny program, and guarded by a replayable fixture."""
@@ -170,3 +191,27 @@ class TestMutationCatch:
             chaos=False, max_fixtures=0,
         )
         assert not outcome.converged
+
+    def test_planted_kernel_bug_is_caught_on_the_kernel_lane(
+        self, monkeypatch
+    ):
+        # ROADMAP item 5's kernel-coverage criterion: the simulator's
+        # phases run on the task-carrying kernels, so a bug there must
+        # surface on the fast lane (and shrink), while the generator
+        # lanes, which never run the kernels, converge.
+        _plant_kernel_bug(monkeypatch)
+        outcome = run_fuzz(
+            seed=0, iterations=10, passes=1, lanes=("fast",),
+            chaos=False, max_fixtures=1,
+        )
+        assert not outcome.converged
+        failure = outcome.failures[0]
+        assert failure.lane == "fast"
+        assert failure.kind == "mismatch"
+        assert failure.shrunk_program is not None
+        assert len(failure.shrunk_program.steps) <= 3
+        clean = run_fuzz(
+            seed=0, iterations=10, passes=1,
+            lanes=("nokernel", "reference"), chaos=False, max_fixtures=0,
+        )
+        assert clean.converged

@@ -131,9 +131,12 @@ class TestTrustGuard:
         assert resolve_kernel(algorithm, layout, None, compiled=False) is None
         assert resolve_kernel(algorithm, layout, None) is not None
 
-    def test_non_trivial_tasks_fall_back_to_generators(self):
-        # Kernels compile the plain x[i] := 1 stream; a task set with
-        # real cycles must gate the kernel off (algorithm-level gating).
+    def test_task_carrying_kernels_resolve_where_they_exist(self):
+        # W, X, V and V+X carry task cycles on their kernels; the trivial
+        # algorithm, ACC and snapshot keep gating real task cycles to
+        # the generator path, and no vector program takes them.
+        from repro.core import AccAlgorithm, SnapshotAlgorithm
+
         tasks = CycleFactoryTasks(1, lambda element, pid: [
             Cycle(writes=(Write(element, 1),), label="task")
         ])
@@ -141,7 +144,19 @@ class TestTrustGuard:
                           AlgorithmV(), AlgorithmVX()):
             layout = algorithm.build_layout(16, 4)
             assert resolve_kernel(algorithm, layout, None) is not None
+        for algorithm in (AlgorithmW(), AlgorithmX(), AlgorithmV(),
+                          AlgorithmVX()):
+            layout = algorithm.build_layout(16, 4)
+            assert resolve_kernel(algorithm, layout, tasks) is not None
+        for algorithm in (TrivialAssignment(), AccAlgorithm(),
+                          SnapshotAlgorithm()):
+            layout = algorithm.build_layout(16, 4)
             assert resolve_kernel(algorithm, layout, tasks) is None
+        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX(),
+                          AlgorithmV(), AlgorithmVX(), AccAlgorithm(),
+                          SnapshotAlgorithm()):
+            layout = algorithm.build_layout(16, 4)
+            assert algorithm.vectorized_program(layout, tasks) is None
 
 
 class _StagingSpy(CompiledProgram):
@@ -192,6 +207,7 @@ class _StagingSpy(CompiledProgram):
                     cycle.materialize_writes(values))
         assert staged == expected
         self.log["staged"] += 1
+        self.log.setdefault("labels", set()).add(staged[0])
         return staged
 
 
@@ -226,6 +242,43 @@ class TestObservedStaging:
         assert log["materialized"]
         assert max(log["materialized"].values()) == 1
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("algorithm_cls", [
+        AlgorithmW, AlgorithmX, AlgorithmV, AlgorithmVX,
+    ])
+    def test_task_staging_matches_materialized_cycles(self, algorithm_cls, k):
+        # The same proof for task-carrying kernels: every observed tick,
+        # task cycles included, is staged by the kernel and matches its
+        # materialized cycle, and current_cycle() still runs only for
+        # the validation gate.
+        from repro.core.base import done_predicate
+        from repro.pram.machine import Machine
+        from repro.pram.memory import SharedMemory
+        from tests.pram.test_fast_path_differential import pointer_tasks
+
+        algorithm = algorithm_cls()
+        n, p = 32, 8
+        layout = algorithm.build_layout(n, p)
+        memory = SharedMemory(layout.size + n + n * k)
+        memory.load([(5 * i + 1) % (2 * n) for i in range(n)], layout.size)
+        tasks = pointer_tasks(k, n, layout.size, layout.size + n)
+        machine = Machine(p, memory,
+                          adversary=RandomAdversary(0.1, 0.4, seed=3),
+                          context={"layout": layout})
+        factory = resolve_kernel(algorithm, layout, tasks)
+        log = {"staged": 0, "materialized": {}}
+        machine.load_program(
+            algorithm.program(layout, tasks),
+            compiled_program=lambda pid: _StagingSpy(factory(pid), log),
+        )
+        ledger = machine.run(until=done_predicate(layout), max_ticks=20_000)
+        assert ledger.goal_reached
+        assert log["staged"] == ledger.charged_work
+        assert {f"task:{slot}" for slot in range(k)} <= log["labels"]
+        if algorithm_cls in (AlgorithmX, AlgorithmVX):
+            assert "x:mark" in log["labels"]
+        assert max(log["materialized"].values()) == 1
+
     def test_pending_view_materializes_its_cycle_lazily(self):
         from repro.faults.base import Adversary
         from repro.pram.failures import Decision
@@ -256,6 +309,42 @@ class TestObservedStaging:
         assert seen[1]._cycle is None  # staged, never read as a Cycle
         with pytest.raises(ProgramError, match="stale pending view"):
             seen[1].cycle
+
+
+class TestSimulatorKernels:
+    """The Theorem 4.1 simulator's phases run on kernels where asked."""
+
+    @pytest.mark.parametrize("lane, expected", [
+        ("fast", True), ("nokernel", False),
+    ])
+    def test_every_phase_installs_a_kernel_on_kernel_lanes(
+        self, monkeypatch, lane, expected
+    ):
+        from repro.pram.lanes import LANES
+        from repro.pram.machine import Machine
+        from repro.simulation import RobustSimulator
+        from repro.simulation.programs import prefix_sum_program
+
+        installed = []
+        original = Machine.load_program
+
+        def spy(machine, *args, **kwargs):
+            original(machine, *args, **kwargs)
+            installed.append(
+                [processor._stepper is not None
+                 for processor in machine.processors]
+            )
+
+        monkeypatch.setattr(Machine, "load_program", spy)
+        simulator = RobustSimulator(
+            p=4, adversary=RandomAdversary(0.1, 0.3, seed=2),
+            **LANES[lane].solver_kwargs(),
+        )
+        result = simulator.execute(prefix_sum_program(8), list(range(8)))
+        assert result.solved
+        assert len(installed) == len(result.phases) > 0
+        assert all(all(phase) == expected and any(phase) == expected
+                   for phase in installed)
 
 
 class _CountingKernel(CompiledProgram):

@@ -18,6 +18,7 @@ failed) when it is absent; the remaining lanes always run.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,8 +39,12 @@ from repro.faults import (
     ThrashingAdversary,
     UnionAdversary,
 )
+from repro.core.tasks import CycleFactoryTasks
 from repro.faults.base import ScheduledAdversary
-from repro.pram.errors import WriteConflictError
+from repro.faults.stalking import StalkingAdversaryX
+from repro.perf.phases import PhaseCounters
+from repro.pram.cycles import Cycle, Write
+from repro.pram.errors import MemoryError_, ProgramError, WriteConflictError
 from repro.pram.lanes import LANES, lane_available
 from repro.pram.policies import RotatingArbitraryCrcw
 from repro.pram.trace import Tracer
@@ -432,7 +437,6 @@ class TestConflictPartialState:
         # when its resolve raises, the cells below it must already be
         # written and the cells above it untouched, exactly as in the
         # reference's ascending write loop.
-        from repro.pram.cycles import Cycle, Write
         from repro.pram.machine import Machine
         from repro.pram.memory import SharedMemory
 
@@ -456,3 +460,234 @@ class TestConflictPartialState:
             states.append((memory.snapshot(), memory.writes_applied))
         assert states[0] == states[1]
         assert states[0] == ([0, 5, 1, 0, 0, 0, 0, 0], 2)
+
+
+# --------------------------------------------------------------------- #
+# task-carrying kernels (Section 4.3: Write-All elements as real tasks)
+# --------------------------------------------------------------------- #
+
+#: A sparse offline schedule that lands inside these small runs, so
+#: the fast lanes reach fused quiet windows between its events.
+SPARSE_SCHEDULE = {
+    6: ([1], []), 13: ([], [1]),
+    30: ([3], []), 37: ([], [3]),
+    60: ([5], []), 67: ([], [5]),
+}
+
+TASK_ADVERSARIES = {
+    "random": lambda: RandomAdversary(0.15, 0.3, seed=7),
+    "stalker": StalkingAdversaryX,
+    "speed-classes": lambda: SpeedClassAdversary((1, 2, 4), seed=1),
+    "sched-sparse": lambda: ScheduledAdversary(SPARSE_SCHEDULE),
+}
+
+#: The stalker walks X's position array, which W and V do not have.
+TASK_CASES = [
+    (algorithm_key, adversary_key, k)
+    for algorithm_key in ("V", "VX", "W", "X")
+    for adversary_key in sorted(TASK_ADVERSARIES)
+    for k in (1, 2)
+    if not (adversary_key == "stalker" and algorithm_key in ("V", "W"))
+]
+
+
+def pointer_tasks(k, n, data_base, out_base, factory_hook=None):
+    """``k`` idempotent cycles per element over an immutable data region.
+
+    Each cycle reads ``data[e]``, chases it as a pointer into ``data``
+    (a callable read spec), then reads or skips a third cell depending
+    on the second value (a ``None`` read), and writes one output cell.
+    Concurrent executions read the same inputs and write the same
+    value, so COMMON CRCW holds.  ``factory_hook(element, cycles)`` may
+    rewrite an element's cycle list (the error-parity tests plant bad
+    cycles through it).
+    """
+
+    def factory(element, pid):
+        cycles = []
+        for slot in range(k):
+            def writes(values, target=out_base + element * k + slot,
+                       slot=slot):
+                return (Write(target, values[0] + values[1] + values[2]
+                              + slot),)
+
+            cycles.append(Cycle(
+                reads=(
+                    data_base + element,
+                    lambda got: data_base + got[0] % n,
+                    lambda got: None if got[1] % 2 else data_base + got[1] % n,
+                ),
+                writes=writes,
+                label=f"task:{slot}",
+            ))
+        if factory_hook is not None:
+            cycles = factory_hook(element, cycles)
+        return cycles
+
+    return CycleFactoryTasks(k, factory)
+
+
+def build_task_machine(algorithm_key, adversary, k, lane, n=32, p=8,
+                       factory_hook=None, phases=None):
+    """A loaded machine whose Write-All elements are :func:`pointer_tasks`.
+
+    Built on the machine directly (the solver has no room for the
+    tasks' data and output regions); returns ``(machine, until)``.
+    """
+    from repro.core.base import done_predicate
+    from repro.pram.compiled import resolve_kernel
+    from repro.pram.machine import Machine
+    from repro.pram.memory import SharedMemory
+    from repro.pram.vectorized import resolve_vectorized
+
+    algorithm = ALGORITHMS[algorithm_key]()
+    layout = algorithm.build_layout(n, p)
+    data_base = layout.size
+    out_base = data_base + n
+    memory = SharedMemory(out_base + n * k)
+    algorithm.initialize_memory(memory, layout)
+    memory.load([(7 * i + 3) % (2 * n) for i in range(n)], data_base)
+    tasks = pointer_tasks(k, n, data_base, out_base, factory_hook)
+    if adversary is not None and hasattr(adversary, "reset"):
+        adversary.reset()
+    machine = Machine(
+        num_processors=p, memory=memory, adversary=adversary,
+        fast_path=lane.fast_path, fast_forward=lane.fast_forward,
+        phase_counters=phases,
+        context={"layout": layout, "algorithm": algorithm.name},
+    )
+    machine.load_program(
+        algorithm.program(layout, tasks),
+        compiled_program=resolve_kernel(
+            algorithm, layout, tasks, lane.compiled
+        ),
+        vectorized_program=resolve_vectorized(
+            algorithm, layout, tasks, lane.vectorized
+        ),
+        vector_dispatch="auto" if lane.vectorized == "auto" else "always",
+    )
+    return machine, done_predicate(layout)
+
+
+def run_task_machine(algorithm_key, adversary, k, lane, **kwargs):
+    """Build a :func:`build_task_machine` run and run it to completion."""
+    machine, until = build_task_machine(
+        algorithm_key, adversary, k, lane, **kwargs
+    )
+    machine.run(until=until, max_ticks=4_000, raise_on_limit=False)
+    return machine
+
+
+def _as_outcome(machine):
+    ledger = machine.ledger
+    return SimpleNamespace(
+        ledger=ledger, solved=ledger.goal_reached, memory=machine.memory,
+    )
+
+
+class TestTaskCarryingKernels:
+    """Every lane runs real task cycles identically, kernels included."""
+
+    @pytest.mark.parametrize("algorithm_key, adversary_key, k", TASK_CASES)
+    def test_ledger_and_memory_identical(self, algorithm_key,
+                                         adversary_key, k):
+        outcomes = [
+            _as_outcome(run_task_machine(
+                algorithm_key, TASK_ADVERSARIES[adversary_key](), k, lane,
+            ))
+            for lane in MODES
+        ]
+        # W is not restart-safe (Section 4.1): under random restarts
+        # with two cycles per task it runs out of ticks, on every lane.
+        assert outcomes[-1].ledger.goal_reached or \
+            (algorithm_key, adversary_key, k) == ("W", "random", 2)
+        assert_all_identical(outcomes)
+
+    @pytest.mark.parametrize("algorithm_key, adversary_key, k", TASK_CASES)
+    def test_trace_identical(self, algorithm_key, adversary_key, k):
+        traces = []
+        for lane in MODES:
+            tracer = Tracer(watch=range(0, 8))
+            adversary = UnionAdversary([
+                tracer, TASK_ADVERSARIES[adversary_key](),
+            ])
+            run_task_machine(algorithm_key, adversary, k, lane)
+            traces.append(tracer.records)
+        assert traces[-1]
+        for trace in traces[:-1]:
+            assert trace == traces[-1]
+
+    @pytest.mark.parametrize("algorithm_key", ["V", "VX", "W", "X"])
+    def test_sparse_schedule_reaches_fused_windows(self, algorithm_key):
+        # The kernels decline user task cycles on the fused lane; this
+        # pins that the sparse schedule really drives them there.
+        phases = PhaseCounters()
+        run_task_machine(
+            algorithm_key, TASK_ADVERSARIES["sched-sparse"](), 2,
+            LANES["fast"], phases=phases,
+        )
+        assert phases.fused_ticks > 0
+
+
+def _two_writes(element, cycles):
+    """Every first task slot writes two cells (illegal under V/W; under
+    V+X only the V half raises, so every element carries it)."""
+    first = cycles[0]
+    target = first.materialize_writes((0, 0, 0))[0].address
+
+    def writes(values):
+        return (Write(target, values[0]), Write(target + 1, values[0]))
+
+    return [Cycle(reads=first.reads, writes=writes, label=first.label)] \
+        + cycles[1:]
+
+
+def _short_list(element, cycles):
+    """Element 5's factory returns one cycle fewer than declared."""
+    return cycles[:-1] if element == 5 else cycles
+
+
+def _wild_pointer(element, cycles):
+    """Element 5's pointer-chasing read leaves memory."""
+    if element != 5:
+        return cycles
+    first = cycles[0]
+    reads = (first.reads[0], lambda got: 10**6 + got[0], first.reads[2])
+    return [Cycle(reads=reads, writes=first.writes, label=first.label)] \
+        + cycles[1:]
+
+
+class TestTaskErrorParity:
+    """A broken task cycle raises the same error on the same tick on the
+    kernel lane, the generator lane and the reference core, whether the
+    tick is adversary-visible (staged) or fused (declined)."""
+
+    PARITY_LANES = ("fast", "nokernel", "reference")
+
+    @pytest.mark.parametrize("adversary_key", ["none", "random"])
+    @pytest.mark.parametrize("algorithm_key, hook, error", [
+        (algorithm_key, hook, error)
+        for hook, error, algorithms in (
+            (_two_writes, ProgramError, ("V", "VX", "W")),
+            (_short_list, ValueError, ("V", "VX", "W", "X")),
+            (_wild_pointer, MemoryError_, ("V", "VX", "W", "X")),
+        )
+        for algorithm_key in algorithms
+    ], ids=lambda value: getattr(value, "__name__", value))
+    def test_same_error_same_tick(self, algorithm_key, hook, error,
+                                  adversary_key):
+        adversaries = {
+            "none": lambda: None,
+            "random": lambda: RandomAdversary(0.1, 0.3, seed=4),
+        }
+        seen = []
+        for lane in self.PARITY_LANES:
+            machine, until = build_task_machine(
+                algorithm_key, adversaries[adversary_key](), 2,
+                LANES[lane], factory_hook=hook,
+            )
+            with pytest.raises(error) as info:
+                machine.run(until=until, max_ticks=4_000)
+            seen.append((type(info.value), str(info.value),
+                         machine.ledger.ticks))
+        assert len(set(seen)) == 1, seen

@@ -2,19 +2,24 @@
 
 Each program in :mod:`repro.simulation.programs` runs through every
 machine lane of the shared registry (:mod:`repro.pram.lanes`) under at
-least two adversaries, and every run's final simulated memory must be
-bit-identical to the fault-free reference execution — Theorem 4.1's
-semantic transparency, asserted program x adversary x lane.  The
-Write-All differential suite (``tests/pram/``) proves lane identity for
-the *solver*; this suite proves it for the *simulation layer* on real
-workloads.
+least two adversaries, on both X and V+X (the simulator's default),
+and every run's final simulated memory must be bit-identical to the
+fault-free reference execution — Theorem 4.1's semantic transparency,
+asserted program x algorithm x adversary x lane.  Every lane must also
+reproduce the reference lane's accounting phase by phase (S, S', |F|,
+ticks and completions per tick): the kernel lanes run the robust
+phases' task cycles on compiled kernels, the others on generators.
+The Write-All differential suite (``tests/pram/``) proves lane
+identity for the *solver*; this suite proves it for the *simulation
+layer* on real workloads.
 """
 
+import functools
 import random
 
 import pytest
 
-from repro.core import AlgorithmX
+from repro.core import AlgorithmVX, AlgorithmX
 from repro.faults import BurstAdversary, NoFailures, RandomAdversary
 from repro.pram.lanes import LANES as LANE_REGISTRY, lane_available
 from repro.simulation import RobustSimulator
@@ -33,13 +38,15 @@ from repro.simulation.programs.list_ranking import list_ranking_input
 
 #: Straight from the shared registry (reference last), minus lanes this
 #: environment cannot run (vec without the numpy extra).  The robust
-#: phases use non-trivial task sets, so the vec/auto lanes exercise
-#: exactly the vector lane's scalar-fallback gating here.
+#: phases use non-trivial task sets, which no vector program takes, so
+#: the vec/auto lanes run the scalar kernels here.
 LANES = {
     name: lane
     for name, lane in LANE_REGISTRY.items()
     if lane_available(name)
 }
+
+ALGORITHMS = {"X": AlgorithmX, "VX": AlgorithmVX}
 
 ADVERSARIES = {
     "random": lambda: RandomAdversary(0.12, 0.35, seed=5),
@@ -76,14 +83,33 @@ def _programs():
 PROGRAMS = _programs()
 
 
-def execute(program, initial, adversary, lane):
+def execute(program, initial, adversary, lane, algorithm_key="X"):
     simulator = RobustSimulator(
         p=4,
-        algorithm=AlgorithmX(),
+        algorithm=ALGORITHMS[algorithm_key](),
         adversary=adversary,
         **LANES[lane].solver_kwargs(),
     )
     return simulator.execute(program, list(initial))
+
+
+@functools.lru_cache(maxsize=None)
+def faulty_run(name, algorithm_key, adversary_key, lane):
+    """One (program, algorithm, adversary, lane) run, shared by tests."""
+    program, initial = PROGRAMS[name]
+    return execute(
+        program, initial, ADVERSARIES[adversary_key](), lane, algorithm_key
+    )
+
+
+def phase_accounting(result):
+    """Per phase: S, S', |F|, ticks and completions per tick."""
+    return [
+        (record.step_index, record.phase, record.ledger.completed_work,
+         record.ledger.charged_work, record.ledger.pattern_size,
+         record.ledger.ticks, list(record.ledger.completed_per_tick))
+        for record in result.phases
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -101,23 +127,31 @@ def fault_free_memories():
 class TestEveryProgramEveryLane:
     @pytest.mark.parametrize("adversary_key", sorted(ADVERSARIES))
     @pytest.mark.parametrize("lane", sorted(LANES))
+    @pytest.mark.parametrize("algorithm_key", sorted(ALGORITHMS))
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_lane_matches_fault_free_baseline(
-        self, name, lane, adversary_key, fault_free_memories
+        self, name, algorithm_key, lane, adversary_key, fault_free_memories
     ):
-        program, initial = PROGRAMS[name]
-        result = execute(
-            program, initial, ADVERSARIES[adversary_key](), lane
-        )
+        result = faulty_run(name, algorithm_key, adversary_key, lane)
         assert result.solved
         assert result.memory == fault_free_memories[name]
 
+    @pytest.mark.parametrize("adversary_key", sorted(ADVERSARIES))
+    @pytest.mark.parametrize("lane", sorted(set(LANES) - {"reference"}))
+    @pytest.mark.parametrize("algorithm_key", sorted(ALGORITHMS))
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_adversaries_actually_injected_faults(self, name):
-        program, initial = PROGRAMS[name]
-        result = execute(
-            program, initial, ADVERSARIES["random"](), "fast"
-        )
+    def test_phase_accounting_matches_reference_lane(
+        self, name, algorithm_key, lane, adversary_key
+    ):
+        result = faulty_run(name, algorithm_key, adversary_key, lane)
+        reference = faulty_run(name, algorithm_key, adversary_key,
+                               "reference")
+        assert phase_accounting(result) == phase_accounting(reference)
+
+    @pytest.mark.parametrize("algorithm_key", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_adversaries_actually_injected_faults(self, name, algorithm_key):
+        result = faulty_run(name, algorithm_key, "random", "fast")
         assert result.total_pattern_size > 0
 
 
