@@ -13,9 +13,11 @@ package builds concrete adversaries on top of them.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from itertools import repeat
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple
 
 
 class FailureTag(Enum):
@@ -53,41 +55,86 @@ class FailurePattern:
 
     The machine appends events as the run unfolds; afterwards the pattern
     is the realized ``F`` whose size ``|F|`` enters the overhead ratio.
+
+    Lower-bound adversaries record hundreds of thousands of events per
+    run, so the pattern is stored as three parallel arrays (tag codes,
+    PIDs, times) rather than one object per event: an event costs three
+    appends and no heap object.  :class:`FailureEvent` triples are built
+    only when the pattern is iterated or queried.
     """
 
+    __slots__ = ("_tags", "_pids", "_times")
+
     def __init__(self, events: Iterable[FailureEvent] = ()) -> None:
-        self._events: List[FailureEvent] = list(events)
+        self._tags = bytearray()
+        self._pids = array("q")
+        self._times = array("q")
+        for event in events:
+            self.record(event.tag, event.pid, event.time)
+
+    def __reduce__(self):
+        return (_restore_pattern, (
+            bytes(self._tags), self._pids.tobytes(), self._times.tobytes()
+        ))
 
     def record(self, tag: FailureTag, pid: int, time: int) -> None:
-        self._events.append(FailureEvent(tag, pid, time))
+        self._tags.append(_TAG_CODES[tag])
+        self._pids.append(pid)
+        self._times.append(time)
+
+    def record_many(self, tag: FailureTag, pids: Sequence[int], time: int) -> None:
+        """Record ``<tag, pid, time>`` for every PID of ``pids``, in order."""
+        count = len(pids)
+        if count:
+            self._tags += _TAG_BYTES[tag] * count
+            self._pids.extend(pids)
+            self._times.extend(repeat(time, count))
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._tags)
 
     def __iter__(self) -> Iterator[FailureEvent]:
-        return iter(self._events)
+        return map(FailureEvent, map(_TAGS.__getitem__, self._tags),
+                   self._pids, self._times)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FailurePattern(|F|={len(self._events)})"
+        return f"FailurePattern(|F|={len(self._tags)})"
 
     @property
     def size(self) -> int:
         """``|F|`` — the cardinality used by the overhead ratio."""
-        return len(self._events)
+        return len(self._tags)
 
     @property
     def failure_count(self) -> int:
-        return sum(1 for event in self._events if event.is_failure())
+        return len(self._tags) - self.restart_count
 
     @property
     def restart_count(self) -> int:
-        return sum(1 for event in self._events if event.is_restart())
+        return self._tags.count(_TAG_CODES[FailureTag.RESTART])
 
     def events_at(self, time: int) -> Tuple[FailureEvent, ...]:
-        return tuple(event for event in self._events if event.time == time)
+        return tuple(event for event in self if event.time == time)
 
     def events_for(self, pid: int) -> Tuple[FailureEvent, ...]:
-        return tuple(event for event in self._events if event.pid == pid)
+        return tuple(event for event in self if event.pid == pid)
+
+
+#: Tag codes of the compact pattern: ``_TAGS[code]`` is the tag.
+_TAGS: Tuple[FailureTag, ...] = (FailureTag.FAILURE, FailureTag.RESTART)
+_TAG_CODES: Dict[FailureTag, int] = {tag: code for code, tag in enumerate(_TAGS)}
+_TAG_BYTES: Dict[FailureTag, bytes] = {
+    tag: bytes((code,)) for tag, code in _TAG_CODES.items()
+}
+
+
+def _restore_pattern(tags: bytes, pids: bytes, times: bytes) -> FailurePattern:
+    """Unpickle (or copy) a pattern into fresh arrays of its own."""
+    pattern = FailurePattern()
+    pattern._tags += tags
+    pattern._pids.frombytes(pids)
+    pattern._times.frombytes(times)
+    return pattern
 
 
 #: Sentinel for :class:`Decision` failure values: the processor completes

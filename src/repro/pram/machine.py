@@ -220,8 +220,8 @@ class Machine:
         self._status_epoch: List[int] = [0]
         self._cache_epoch = -1
         self._running_cache: List[Processor] = []
-        self._failed_count = 0
         self._statuses_view: Mapping[int, ProcessorStatus] = MappingProxyType({})
+        self._status_pids: Tuple[Tuple[int, ...], ...] = ((), (), ())
         # Raw cell array (validated accesses fall back to memory.read /
         # memory.write); raw value storage is only safe without a word
         # width to enforce.
@@ -655,17 +655,26 @@ class Machine:
             return
         running: List[Processor] = []
         statuses: Dict[int, ProcessorStatus] = {}
-        failed = 0
+        running_pids: List[int] = []
+        failed_pids: List[int] = []
+        halted_pids: List[int] = []
         for proc in self._processors:
             status = proc.status
-            statuses[proc.pid] = status
+            pid = proc.pid
+            statuses[pid] = status
             if status is ProcessorStatus.RUNNING:
                 running.append(proc)
+                running_pids.append(pid)
             elif status is ProcessorStatus.FAILED:
-                failed += 1
+                failed_pids.append(pid)
+            else:
+                halted_pids.append(pid)
         self._running_cache = running
-        self._failed_count = failed
         self._statuses_view = MappingProxyType(statuses)
+        # PID-sorted because the processor list is; handed to TickView.
+        self._status_pids = (
+            tuple(running_pids), tuple(failed_pids), tuple(halted_pids)
+        )
         self._cache_epoch = epoch
 
     def _refresh_adversary_memo(self) -> None:
@@ -703,7 +712,7 @@ class Machine:
     def _step_fast(self) -> bool:
         self._refresh_status_caches()
         running = self._running_cache
-        if not running and not self._failed_count:
+        if not running and not self._status_pids[1]:
             return False
         self.ledger.ticks += 1
         tick = self.ledger.ticks
@@ -1120,13 +1129,17 @@ class Machine:
     def _tick_fast_adversary(self, tick: int, running: List[Processor]) -> None:
         """One tick with an active adversary.
 
-        Builds the full adversary view (from cached statuses and the
-        fast collection) and runs the reference failure-handling
-        phases, so adversary-visible state and the realized pattern are
-        identical to the reference path.  The settle is one PID-ordered
-        pass over the collection that charges the ledger's backing lists
-        directly (the reference ``_settle_processors``, folded); the
-        pending dict is built in running-list order, so it is PID-ordered.
+        Builds the full adversary view (from cached statuses, status
+        tuples and the fast collection) and runs the reference
+        failure-handling phases, so adversary-visible state and the
+        realized pattern are identical to the reference path.  The
+        settle is one PID-ordered pass over the collection that charges
+        the ledger's backing lists directly (the reference
+        ``_settle_processors``, folded); the pending dict is built in
+        running-list order, so it is PID-ordered.  Kernel processors
+        fail and restart inline (see :meth:`_restart_fast`); each phase
+        records its events with one ``record_many`` and bumps the status
+        epoch once.
         """
         phases = self.phase_counters
         mark = perf_counter() if phases is not None else 0.0
@@ -1149,6 +1162,7 @@ class Machine:
             pending=pending,
             ledger=ledger,
             context=self.context,
+            status_pids=self._status_pids,
         )
         decision = self._consult_adversary(view)
         failures = self._validated_failures(decision, pending)
@@ -1180,40 +1194,113 @@ class Machine:
         attempts = ledger.attempted_by_pid.backing_list()
         completions = ledger.completed_by_pid.backing_list()
         interrupts = self._consecutive_interrupts
-        record = ledger.pattern.record
+        failed: List[int] = []
+        halted = False
         completed_this_tick = 0
-        for pid, entry in pending.items():
-            if pid in stalls:
-                # Deferred: no charge, no completion, no failure; the
-                # next tick re-collects it with fresh reads.
-                continue
-            attempts[pid] += 1
-            processor = entry._source
-            if pid in failures:
-                interrupts[pid] = interrupts.get(pid, 0) + 1
-                record(FailureTag.FAILURE, pid, tick)
-                processor.fail()
-                continue
-            completions[pid] += 1
-            completed_this_tick += 1
-            if interrupts:
-                # Same observable count as the reference's reset to 0.
-                interrupts.pop(pid, None)
-            stepper = processor._stepper
-            if stepper is None:
-                processor.complete_cycle(entry.read_values)
-                continue
-            # Inlined Processor.complete_cycle, kernel branch.
-            processor.cycles_completed += 1
-            processor._pending = None
-            if not stepper.advance(entry.read_values):
-                processor.status = ProcessorStatus.HALTED
-                processor._bump_epoch()
+        try:
+            for pid, entry in pending.items():
+                if pid in stalls:
+                    # Deferred: no charge, no completion, no failure; the
+                    # next tick re-collects it with fresh reads.
+                    continue
+                attempts[pid] += 1
+                processor = entry._source
+                if pid in failures:
+                    interrupts[pid] = interrupts.get(pid, 0) + 1
+                    failed.append(pid)
+                    if processor._generator is None:
+                        # Inlined Processor.fail, kernel branch (there
+                        # is no generator to close).
+                        processor._pending = None
+                        processor.status = ProcessorStatus.FAILED
+                    else:
+                        processor.fail()
+                    continue
+                completions[pid] += 1
+                completed_this_tick += 1
+                if interrupts:
+                    # Same observable count as the reference's reset to 0.
+                    interrupts.pop(pid, None)
+                stepper = processor._stepper
+                if stepper is None:
+                    processor.complete_cycle(entry.read_values)
+                    continue
+                # Inlined Processor.complete_cycle, kernel branch.
+                processor.cycles_completed += 1
+                processor._pending = None
+                if not stepper.advance(entry.read_values):
+                    processor.status = ProcessorStatus.HALTED
+                    halted = True
+        finally:
+            # Also on a raise part-way: the pattern then holds exactly
+            # the failures the reference had recorded by that point.
+            if failed:
+                ledger.pattern.record_many(FailureTag.FAILURE, failed, tick)
+            if failed or halted:
+                self._status_epoch[0] += 1
         ledger.completed_per_tick.append(completed_this_tick)
-        self._apply_restarts(decision, failures, pending, tick)
+        self._restart_fast(decision, pending, tick)
         if phases is not None:
             phases.settle_s += perf_counter() - mark
             phases.ticks += 1
+
+    def _restart_fast(
+        self,
+        decision: Decision,
+        pending: Mapping[int, PendingCycleView],
+        tick: int,
+    ) -> None:
+        """The reference ``_apply_restarts``, folded for the fast tick.
+
+        Same PID order, checks and ``AdversaryError`` messages (the
+        vacuous restart of a processor whose failure the progress veto
+        cancelled is skipped), and the same partial state when a check
+        raises: every restart before the offending PID has happened and
+        is recorded.  Kernel processors restart inline (a stepper reset
+        rebuilds the state from the PID); generator processors go
+        through ``Processor.restart``.
+        """
+        restarts = decision.restarts
+        if not restarts:
+            if self.enforce_progress and not pending:
+                self._force_restart_lowest_failed(tick)
+            return
+        processors = self._processors
+        num_processors = self.num_processors
+        requested = decision.failures
+        revived: List[int] = []
+        try:
+            for pid in sorted(restarts):
+                if not 0 <= pid < num_processors:
+                    raise AdversaryError(
+                        f"adversary restarted unknown pid {pid}"
+                    )
+                processor = processors[pid]
+                status = processor.status
+                if status is not ProcessorStatus.FAILED:
+                    if status is ProcessorStatus.RUNNING and pid in requested:
+                        continue  # vacuous: its failure was vetoed
+                    raise AdversaryError(
+                        f"adversary restarted pid {pid}, which is "
+                        f"{status.value}"
+                    )
+                revived.append(pid)
+                stepper = processor._stepper
+                if stepper is None:
+                    processor.restart()
+                    continue
+                # Inlined Processor.restart and spawn, kernel branch.
+                processor.restart_count += 1
+                if stepper.reset():
+                    processor.status = ProcessorStatus.RUNNING
+                else:
+                    processor.status = ProcessorStatus.HALTED
+        finally:
+            if revived:
+                self.ledger.pattern.record_many(
+                    FailureTag.RESTART, revived, tick
+                )
+                self._status_epoch[0] += 1
 
     # ================================================================== #
     # event-horizon fast-forward (run()-level tick batching)

@@ -453,6 +453,12 @@ class MemoryReader:
 
     def __init__(self, memory: SharedMemory) -> None:
         self._memory = memory
+        # Adversaries read memory many times per tick.  An in-range int
+        # address is served straight from the raw cell list (never
+        # rebound, and fixed in size); anything else goes through
+        # peek(), which raises the validating MemoryError_.
+        self._cells = memory.raw_cells()
+        self._size = len(self._cells)
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -462,10 +468,11 @@ class MemoryReader:
         return self._memory.size
 
     def read(self, address: int) -> int:
+        if type(address) is int and 0 <= address < self._size:
+            return self._cells[address]
         return self._memory.peek(address)
 
-    def __getitem__(self, address: int) -> int:
-        return self._memory.peek(address)
+    __getitem__ = read
 
     def region(self, start: int, length: int) -> List[int]:
         return self._memory.region(start, length)

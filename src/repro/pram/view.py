@@ -22,11 +22,19 @@ staged observed ticks): read its fields by name, since it does not
 unpack, index, or compare by value.  ``statuses`` may be a read-only
 proxy over the machine's cached status table rather than a fresh
 dict — adversaries must treat every view field as frozen.
+
+Status tuples (``running_pids``, ``failed_pids``, ``halted_pids``) are
+PID-sorted.  The machine's fast tick builds them once per status epoch
+(the counter every status transition bumps), in the same pass that
+builds its status table, and hands them to the view through
+``status_pids``; a tick whose statuses did not change reuses them.
+Lower-bound adversaries read ``failed_pids`` every tick, so this
+replaces a sort of all P statuses per ``decide`` with a field read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 from repro.pram.cycles import Cycle, Write
@@ -97,7 +105,13 @@ class PendingCycleView:
 
 @dataclass(frozen=True)
 class TickView:
-    """Everything the adversary may inspect before ruling on a tick."""
+    """Everything the adversary may inspect before ruling on a tick.
+
+    ``status_pids`` optionally carries the machine's per-epoch cached
+    ``(running, failed, halted)`` PID tuples; the ``*_pids`` properties
+    return those tuples as they are.  A view built without them (the
+    reference core, tests) recomputes each tuple from ``statuses``.
+    """
 
     time: int
     memory: MemoryReader
@@ -105,30 +119,37 @@ class TickView:
     pending: Mapping[int, PendingCycleView]
     ledger: RunLedger
     context: Mapping[str, object]
+    status_pids: Optional[Tuple[Tuple[int, ...], ...]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def _pids_with(self, status: ProcessorStatus) -> Tuple[int, ...]:
+        return tuple(
+            pid
+            for pid, current in sorted(self.statuses.items())
+            if current is status
+        )
 
     @property
     def running_pids(self) -> Tuple[int, ...]:
-        return tuple(
-            pid
-            for pid, status in sorted(self.statuses.items())
-            if status is ProcessorStatus.RUNNING
-        )
+        cached = self.status_pids
+        if cached is not None:
+            return cached[0]
+        return self._pids_with(ProcessorStatus.RUNNING)
 
     @property
     def failed_pids(self) -> Tuple[int, ...]:
-        return tuple(
-            pid
-            for pid, status in sorted(self.statuses.items())
-            if status is ProcessorStatus.FAILED
-        )
+        cached = self.status_pids
+        if cached is not None:
+            return cached[1]
+        return self._pids_with(ProcessorStatus.FAILED)
 
     @property
     def halted_pids(self) -> Tuple[int, ...]:
-        return tuple(
-            pid
-            for pid, status in sorted(self.statuses.items())
-            if status is ProcessorStatus.HALTED
-        )
+        cached = self.status_pids
+        if cached is not None:
+            return cached[2]
+        return self._pids_with(ProcessorStatus.HALTED)
 
     def writers_of(self, address: int) -> Tuple[int, ...]:
         """PIDs whose pending cycle writes to ``address`` this tick."""

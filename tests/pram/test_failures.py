@@ -1,5 +1,7 @@
 """Unit tests for failure events, patterns and decisions."""
 
+import pickle
+
 from repro.pram.failures import (
     AFTER_ALL_WRITES,
     BEFORE_WRITES,
@@ -48,6 +50,62 @@ class TestFailurePattern:
         for time in [5, 3, 9]:
             pattern.record(FailureTag.FAILURE, 0, time)
         assert [event.time for event in pattern] == [5, 3, 9]
+
+
+class TestCompactPattern:
+    """The array-backed pattern behaves like the list of events it stores."""
+
+    EVENTS = [
+        FailureEvent(FailureTag.FAILURE, 3, 1),
+        FailureEvent(FailureTag.FAILURE, 5, 1),
+        FailureEvent(FailureTag.RESTART, 3, 2),
+        FailureEvent(FailureTag.RESTART, 5, 2),
+        FailureEvent(FailureTag.FAILURE, 0, 2),
+        FailureEvent(FailureTag.RESTART, 0, 4),
+    ]
+
+    def built(self):
+        pattern = FailurePattern()
+        pattern.record_many(FailureTag.FAILURE, [3, 5], 1)
+        pattern.record_many(FailureTag.RESTART, (3, 5), 2)
+        pattern.record_many(FailureTag.RESTART, [], 3)
+        pattern.record(FailureTag.FAILURE, 0, 2)
+        pattern.record_many(FailureTag.RESTART, [0], 4)
+        return pattern
+
+    def test_record_many_equals_repeated_record(self):
+        one_by_one = FailurePattern()
+        for event in self.EVENTS:
+            one_by_one.record(event.tag, event.pid, event.time)
+        assert list(self.built()) == list(one_by_one) == self.EVENTS
+
+    def test_constructor_iterates_back_equal_events(self):
+        pattern = FailurePattern(self.EVENTS)
+        assert list(pattern) == self.EVENTS
+        assert all(type(event) is FailureEvent for event in pattern)
+
+    def test_counts_and_queries(self):
+        pattern = self.built()
+        assert len(pattern) == pattern.size == 6
+        assert pattern.failure_count == 3
+        assert pattern.restart_count == 3
+        assert pattern.events_at(2) == tuple(self.EVENTS[2:5])
+        assert pattern.events_at(3) == ()
+        assert pattern.events_for(3) == (self.EVENTS[0], self.EVENTS[2])
+        assert pattern.events_for(9) == ()
+        empty = FailurePattern()
+        assert (len(empty), empty.failure_count, empty.restart_count) == \
+            (0, 0, 0)
+
+    def test_pickle_round_trip(self):
+        pattern = self.built()
+        restored = pickle.loads(pickle.dumps(pattern))
+        assert list(restored) == self.EVENTS
+        assert restored.restart_count == 3
+        # The copy owns its arrays: recording into it leaves the
+        # original alone.
+        restored.record(FailureTag.FAILURE, 1, 9)
+        assert len(restored) == 7 and len(pattern) == 6
 
 
 class TestDecision:

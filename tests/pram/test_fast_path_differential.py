@@ -31,6 +31,7 @@ from repro.core import (
     solve_write_all,
 )
 from repro.faults import (
+    BurstAdversary,
     HalvingAdversary,
     NoFailures,
     NoRestartAdversary,
@@ -40,11 +41,22 @@ from repro.faults import (
     UnionAdversary,
 )
 from repro.core.tasks import CycleFactoryTasks
-from repro.faults.base import ScheduledAdversary
+from repro.faults.base import Adversary, ScheduledAdversary
 from repro.faults.stalking import StalkingAdversaryX
 from repro.perf.phases import PhaseCounters
 from repro.pram.cycles import Cycle, Write
-from repro.pram.errors import MemoryError_, ProgramError, WriteConflictError
+from repro.pram.errors import (
+    AdversaryError,
+    MemoryError_,
+    ProgramError,
+    WriteConflictError,
+)
+from repro.pram.failures import (
+    BEFORE_WRITES,
+    Decision,
+    FailureEvent,
+    FailureTag,
+)
 from repro.pram.lanes import LANES, lane_available
 from repro.pram.policies import RotatingArbitraryCrcw
 from repro.pram.trace import Tracer
@@ -67,7 +79,19 @@ ADVERSARIES = {
     # Stalls defer a pending cycle: on a kernel lane the stalled
     # stepper must be left un-advanced and re-staged next tick.
     "speed-classes": lambda: SpeedClassAdversary((1, 2, 4), seed=1),
+    # Mass failure and revival: most of the machine fails and restarts
+    # on one tick, through the fast tick's folded fail/restart.
+    "stalker": StalkingAdversaryX,
+    "burst": lambda: BurstAdversary(period=3, fraction=0.5, downtime=1),
 }
+
+#: The stalker walks X's position array, which only X and V+X have.
+MATRIX_CASES = [
+    (adversary_key, algorithm_key)
+    for adversary_key in sorted(ADVERSARIES)
+    for algorithm_key in sorted(ALGORITHMS)
+    if adversary_key != "stalker" or algorithm_key in ("X", "VX")
+]
 
 
 #: The legs every configuration runs through, straight from the lane
@@ -122,8 +146,7 @@ def assert_identical(fast, reference):
 
 
 class TestAlgorithmAdversaryMatrix:
-    @pytest.mark.parametrize("algorithm_key", sorted(ALGORITHMS))
-    @pytest.mark.parametrize("adversary_key", sorted(ADVERSARIES))
+    @pytest.mark.parametrize("adversary_key, algorithm_key", MATRIX_CASES)
     def test_ledger_identical(self, algorithm_key, adversary_key):
         outcomes = run_both(
             algorithm_key, ADVERSARIES[adversary_key],
@@ -383,8 +406,6 @@ class TestPassivityDetection:
         # `passive = True` must not be trusted through inheritance: a
         # subclass that overrides decide() (here, to actually kill a
         # processor) has to be consulted every tick.
-        from repro.pram.failures import BEFORE_WRITES, Decision
-
         class Killer(NoFailures):
             def decide(self, view):
                 if view.time == 2 and 0 in view.pending:
@@ -460,6 +481,115 @@ class TestConflictPartialState:
             states.append((memory.snapshot(), memory.writes_applied))
         assert states[0] == states[1]
         assert states[0] == ([0, 5, 1, 0, 0, 0, 0, 0], 2)
+
+
+class BadRestartAdversary(Adversary):
+    """Fails PIDs 0 and 1 on tick 2, then restarts them with a bad PID.
+
+    The bad PID sorts after the two valid ones, so every lane must have
+    restarted (and recorded) 0 and 1 when it raises: ``unknown`` is out
+    of range, ``running`` is the highest running PID (never failed),
+    and ``halted`` is the highest halted PID, once one has halted.
+    """
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def decide(self, view):
+        if view.time == 2:
+            return Decision.fail([0, 1])
+        if view.time > 2:
+            bad = self._bad_pid(view)
+            if bad is not None:
+                return Decision.restart([0, 1, bad])
+        return Decision.none()
+
+    def _bad_pid(self, view):
+        if self.kind == "unknown":
+            return len(view.statuses) + 3
+        pids = view.running_pids if self.kind == "running" else \
+            view.halted_pids
+        return max(pids) if pids else None
+
+
+class VacuousRestartAdversary(Adversary):
+    """Every fourth tick, fails and restarts every pending processor.
+
+    The progress veto spares the lowest PID, so its paired restart is
+    vacuous and must be skipped on every lane.
+    """
+
+    def decide(self, view):
+        if view.time % 4 or not view.pending:
+            return Decision.none()
+        pids = list(view.pending)
+        return Decision(failures={pid: BEFORE_WRITES for pid in pids},
+                        restarts=frozenset(pids))
+
+
+def build_machine(algorithm_key, adversary, lane, n=32, p=8):
+    """A loaded machine for ``lane``; returns ``(machine, until)``."""
+    from repro.core.base import done_predicate
+    from repro.pram.compiled import resolve_kernel
+    from repro.pram.machine import Machine
+    from repro.pram.memory import SharedMemory
+
+    algorithm = ALGORITHMS[algorithm_key]()
+    layout = algorithm.build_layout(n, p)
+    memory = SharedMemory(layout.size)
+    algorithm.initialize_memory(memory, layout)
+    machine = Machine(
+        num_processors=p, memory=memory, adversary=adversary,
+        fast_path=lane.fast_path, fast_forward=lane.fast_forward,
+        context={"layout": layout},
+    )
+    machine.load_program(
+        algorithm.program(layout, None),
+        compiled_program=resolve_kernel(
+            algorithm, layout, None, lane.compiled
+        ),
+    )
+    return machine, done_predicate(layout)
+
+
+class TestRestartParity:
+    """The fast tick's folded restart matches ``_apply_restarts``."""
+
+    PARITY_LANES = ("fast", "nokernel", "reference")
+
+    @pytest.mark.parametrize("algorithm_key", ["X", "VX"])
+    @pytest.mark.parametrize("kind", ["unknown", "running", "halted"])
+    def test_bad_restart_same_error_same_state(self, algorithm_key, kind):
+        seen = []
+        for lane in self.PARITY_LANES:
+            machine, _ = build_machine(
+                algorithm_key, BadRestartAdversary(kind), LANES[lane],
+            )
+            if lane == "fast":
+                # The fast lane must really run the kernel branch.
+                assert machine.processors[0]._stepper is not None
+            with pytest.raises(AdversaryError) as info:
+                # No goal predicate: the run goes on until a processor
+                # halts, which the halted kind waits for.
+                machine.run(max_ticks=4_000)
+            tick = machine.ledger.ticks
+            events = list(machine.ledger.pattern)
+            assert events[-2:] == [
+                FailureEvent(FailureTag.RESTART, pid, tick) for pid in (0, 1)
+            ]
+            seen.append((
+                str(info.value), tick, events, machine.statuses(),
+                [proc.restart_count for proc in machine.processors],
+            ))
+        for outcome in seen[:-1]:
+            assert outcome == seen[-1]
+
+    @pytest.mark.parametrize("algorithm_key", ["X", "VX", "W"])
+    def test_vacuous_restart_after_veto(self, algorithm_key):
+        outcomes = run_both(algorithm_key, VacuousRestartAdversary,
+                            max_ticks=5_000)
+        assert outcomes[-1].ledger.progress_vetoes > 0
+        assert_all_identical(outcomes)
 
 
 # --------------------------------------------------------------------- #

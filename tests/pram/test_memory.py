@@ -3,7 +3,7 @@
 import pytest
 
 from repro.pram.errors import MemoryError_
-from repro.pram.memory import MemoryReader, SharedMemory
+from repro.pram.memory import POISON, MemoryReader, SharedMemory
 
 
 class TestConstruction:
@@ -108,6 +108,32 @@ class TestMemoryReader:
         reader = MemoryReader(memory)
         reader.read(0)
         assert memory.reads_served == 0
+
+
+class TestRawReaderReads:
+    """In-range int reads skip validation; everything else must not."""
+
+    def test_in_range_reads_match_peek(self):
+        memory = SharedMemory(6, initial=[4, 0, -2, 9])
+        memory.mark_faulty([1, 5])
+        reader = MemoryReader(memory)
+        for address in range(6):
+            assert reader.read(address) == memory.peek(address)
+            assert reader[address] == memory.peek(address)
+        assert reader.read(5) == POISON
+        memory.write(3, 11)
+        assert reader.read(3) == 11
+
+    @pytest.mark.parametrize("address", [-1, 6, True, 2.0, "3"])
+    def test_invalid_addresses_raise_like_peek(self, address):
+        memory = SharedMemory(6)
+        reader = MemoryReader(memory)
+        with pytest.raises(MemoryError_) as expected:
+            memory.peek(address)
+        for read in (reader.read, reader.__getitem__):
+            with pytest.raises(MemoryError_) as got:
+                read(address)
+            assert str(got.value) == str(expected.value)
 
 
 class TestRegionBoundary:

@@ -1,10 +1,18 @@
 """Unit tests for the adversary's tick view."""
 
+import dataclasses
+
+import pytest
+
+from repro.core import AlgorithmX, solve_write_all
+from repro.faults import RandomAdversary, ThrashingAdversary
 from repro.faults.base import Adversary
 from repro.pram.cycles import Cycle, Write
 from repro.pram.failures import Decision
+from repro.pram.lanes import LANES
 from repro.pram.machine import Machine
 from repro.pram.memory import SharedMemory
+from repro.pram.processor import ProcessorStatus
 
 
 class Recorder(Adversary):
@@ -91,3 +99,47 @@ class TestTickView:
         machine.step()
         machine.step()
         assert [view.time for view in recorder.views] == [1, 2]
+
+
+class StatusSpy(Adversary):
+    """Checks every view's status tuples, then defers to ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.views = 0
+        self.cached = 0
+
+    def decide(self, view):
+        statuses = sorted(view.statuses.items())
+        expected = tuple(
+            tuple(pid for pid, status in statuses if status is wanted)
+            for wanted in (ProcessorStatus.RUNNING, ProcessorStatus.FAILED,
+                           ProcessorStatus.HALTED)
+        )
+        bare = dataclasses.replace(view, status_pids=None)
+        for source in (view, bare):
+            assert (source.running_pids, source.failed_pids,
+                    source.halted_pids) == expected
+        self.views += 1
+        self.cached += view.status_pids is not None
+        return self.inner.decide(view)
+
+
+class TestCachedStatusTuples:
+    @pytest.mark.parametrize("lane", ["fast", "nokernel", "reference"])
+    @pytest.mark.parametrize("inner", [
+        lambda: RandomAdversary(0.2, 0.35, seed=3),
+        ThrashingAdversary,
+    ], ids=["random", "thrashing"])
+    def test_tuples_match_statuses_every_tick(self, lane, inner):
+        spy = StatusSpy(inner())
+        result = solve_write_all(
+            AlgorithmX(), 32, 8, adversary=spy, max_ticks=5_000,
+            **LANES[lane].solver_kwargs(),
+        )
+        assert result.solved
+        assert spy.views == result.ledger.ticks
+        # The fast tick hands the per-epoch cache to every view; the
+        # reference core builds bare views that recompute the tuples.
+        expected_cached = spy.views if LANES[lane].fast_path else 0
+        assert spy.cached == expected_cached
